@@ -28,7 +28,6 @@ from .tensor_ops import (
 from .regularizers import (
     L1,
     BregmanFunction,
-    NoDualMemory,
     NonnegativeIndicator,
     NuclearNorm,
     SeparableSum,
@@ -38,7 +37,6 @@ from .regularizers import (
     WeightedL1Dct,
     Zero,
     bregman_distance,
-    compose_separable,
     fenchel_residual,
     project_simplex,
     prox_l1,
@@ -59,8 +57,6 @@ from .solver import (
     check_sufficient_decrease,
     initial_state,
     linbreg_step,
-    projected_gradient_step,
-    proximal_gradient_step,
     run,
     surrogate_subgradient,
     surrogate_value,
@@ -79,16 +75,16 @@ __all__ = [
     "as_tensor", "conv2d_periodic", "conv2d_periodic_adjoint", "dct2", "dft2",
     "div2d", "grad2d_forward", "idct2", "idft2", "kernel_gradient", "svd_thin",
     "total_variation",
-    "L1", "BregmanFunction", "NoDualMemory", "NonnegativeIndicator", "NuclearNorm",
+    "L1", "BregmanFunction", "NonnegativeIndicator", "NuclearNorm",
     "SeparableSum", "SimplexIndicator", "SquaredL2", "TotalVariation2D",
-    "WeightedL1Dct", "Zero", "bregman_distance", "compose_separable",
+    "WeightedL1Dct", "Zero", "bregman_distance",
     "fenchel_residual", "project_simplex", "prox_l1", "prox_nuclear", "prox_tv",
     "prox_weighted_l1_dct", "symmetric_bregman_distance",
     "PdhgConfig", "PdhgResult", "pdhg_tv_prox",
     "BacktrackingPolicy", "MonitorRecord", "RunResult", "SmoothObjective",
     "SolverState", "StoppingRule", "backtrack", "check_sufficient_decrease",
-    "initial_state", "linbreg_step", "projected_gradient_step",
-    "proximal_gradient_step", "run", "surrogate_subgradient", "surrogate_value",
+    "initial_state", "linbreg_step", "run", "surrogate_subgradient",
+    "surrogate_value",
     "FdCheckReport", "finite_difference_gradient_check", "prox_oracle_check",
     "tv_prox_dual_oracle",
 ]

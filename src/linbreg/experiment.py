@@ -17,7 +17,7 @@ Re-running a config with the same seed reproduces ``log.csv`` byte for byte.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +40,12 @@ from .problems.pgm import write_pgm
 from .problems.quadratic import random_psd_quadratic
 from .regularizers import (
     L1,
-    NoDualMemory,
     NuclearNorm,
     SeparableSum,
     SimplexIndicator,
     TotalVariation2D,
     WeightedL1Dct,
     Zero,
-    project_simplex,
 )
 from .solver import BacktrackingPolicy, StoppingRule, initial_state, run
 from .tensor_ops import total_variation
@@ -241,7 +239,8 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, max_iter=None) -> Experime
 class _Built:
     E: object
     R: object
-    project: object
+    # Bregman function of the projected-gd baseline: the feasible set's indicator
+    constraint: object
     u0: np.ndarray
     extra_columns: list
     extras_fn: object
@@ -260,18 +259,13 @@ def _build_deconv(cfg: ExperimentConfig) -> _Built:
     # the warm-started dual keeps improving across outer iterations
     image_part = (TotalVariation2D(alpha, (H, W), config=tv_cfg, strict=False)
                   if alpha > 0 else Zero())
-    kernel_part = SimplexIndicator()
-    if not cfg["kernel_memory"]:
-        kernel_part = NoDualMemory(kernel_part)
+    image, kernel = (0, E.n_image), (E.n_image, E.size)
     R = SeparableSum([
-        (image_part, (0, E.n_image)),
-        (kernel_part, (E.n_image, E.size)),
+        (image_part, image),
+        (SimplexIndicator(), kernel, cfg["kernel_memory"]),
     ])
+    constraint = SeparableSum([(Zero(), image), (SimplexIndicator(), kernel)])
     u0 = E.pack(np.zeros((H, W)), np.full(prob.kernel_shape, 1.0 / E.n_kernel))
-
-    def project(x):
-        u, h = E.split(x)
-        return E.pack(u, project_simplex(h).reshape(h.shape))
 
     def extras_fn(st):
         u, _ = E.split(st.u)
@@ -281,7 +275,7 @@ def _build_deconv(cfg: ExperimentConfig) -> _Built:
         u, _ = E.split(st.u)
         _write_image_snapshot(directory / f"iter_{st.k}.pgm", u)
 
-    return _Built(E, R, project, u0, ["tv_value"], extras_fn, snapshot_fn)
+    return _Built(E, R, constraint, u0, ["tv_value"], extras_fn, snapshot_fn)
 
 
 def _build_mri(cfg: ExperimentConfig) -> _Built:
@@ -316,7 +310,7 @@ def _build_mri(cfg: ExperimentConfig) -> _Built:
         u, _ = E.split(st.u)
         _write_image_snapshot(directory / f"iter_{st.k}.pgm", np.abs(u))
 
-    return _Built(E, R, None, u0, ["tv_value"], extras_fn, snapshot_fn)
+    return _Built(E, R, Zero(), u0, ["tv_value"], extras_fn, snapshot_fn)
 
 
 def _build_classifier(cfg: ExperimentConfig) -> _Built:
@@ -355,7 +349,7 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
         for j, A in enumerate(E.split(st.u)):
             np.savetxt(directory / f"iter_{st.k}_A{j + 1}.csv", A, delimiter=",")
 
-    return _Built(E, R, None, u0, extra_cols, extras_fn, snapshot_fn)
+    return _Built(E, R, Zero(), u0, extra_cols, extras_fn, snapshot_fn)
 
 
 def _build_quadratic(cfg: ExperimentConfig) -> _Built:
@@ -371,7 +365,7 @@ def _build_quadratic(cfg: ExperimentConfig) -> _Built:
     def snapshot_fn(st, directory: Path):
         np.savetxt(directory / f"iter_{st.k}.csv", st.u, delimiter=",")
 
-    return _Built(E, R, None, u0, [], lambda st: {}, snapshot_fn)
+    return _Built(E, R, Zero(), u0, [], lambda st: {}, snapshot_fn)
 
 
 _BUILDERS = {
@@ -469,15 +463,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunLog:
             built.snapshot_fn(st, snap_dir)
         return built.extras_fn(st)
 
-    method = cfg["solver"]
+    # the baselines are the same step without the Bregman memory q
+    R = built.constraint if cfg["solver"] == "projected-gd" else built.R
+    if cfg["solver"] != "linbreg":
+        st0 = replace(st0, q=None)
     t0 = time.perf_counter()
-    if method == "projected-gd":
-        result = run(built.E, None, st0, policy, stop, method="projected-gd",
-                     project=built.project, extras_fn=extras_fn)
-    else:
-        result = run(built.E, built.R, st0, policy, stop,
-                     method=("linbreg" if method == "linbreg" else "proximal-gd"),
-                     extras_fn=extras_fn)
+    result = run(built.E, R, st0, policy, stop, extras_fn=extras_fn)
     wall = time.perf_counter() - t0
 
     write_log_csv(out / "log.csv", result.records, built.extra_columns)

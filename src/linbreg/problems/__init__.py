@@ -2,7 +2,7 @@
 neural-network classification, and the unbounded-subgradient counterexample."""
 
 from .quadratic import LeastSquares, QuadraticObjective, random_psd_quadratic
-from .counterexample import CounterexampleProblem, counterexample_run
+from .counterexample import counterexample_run
 from .deconv import (
     BlindDeconvObjective,
     BlindDeconvProblem,
@@ -36,7 +36,7 @@ from .mnist import (
 
 __all__ = [
     "LeastSquares", "QuadraticObjective", "random_psd_quadratic",
-    "CounterexampleProblem", "counterexample_run",
+    "counterexample_run",
     "BlindDeconvObjective", "BlindDeconvProblem", "blind_deconv_grad",
     "discrepancy_eta", "make_synthetic_deconv",
     "ParallelMriObjective", "ParallelMriProblem", "make_mask",

@@ -26,14 +26,6 @@ class ShiftedParabola(SmoothObjective):
 
 
 @dataclass
-class CounterexampleProblem:
-    """Bundle of the fixed instance: the parabola and the orthant indicator."""
-
-    def build(self):
-        return ShiftedParabola(), NonnegativeIndicator()
-
-
-@dataclass
 class CounterexampleTrajectory:
     us: np.ndarray
     qs: np.ndarray
@@ -54,7 +46,7 @@ def counterexample_run(u0: float, steps: int) -> CounterexampleTrajectory:
     """
     if u0 <= 0:
         raise ValueError("u0 must be positive")
-    E, R = CounterexampleProblem().build()
+    E, R = ShiftedParabola(), NonnegativeIndicator()
     st = initial_state(E, R, np.array([float(u0)]), tau0=1.0)
 
     us = [float(st.u[0])]

@@ -6,10 +6,12 @@ Bregman function R with stepsize tau:
     u_next = prox_{tau R}( u + tau * (q - grad E(u)) )
     q_next = q - (u_next - u + tau * grad E(u)) / tau        (in dR(u_next))
 
-With R = 0 this is plain gradient descent.  The module also provides the
-projected- and proximal-gradient baselines, the energy-backtracking stepsize
-rule, and monitors for the decrease and subgradient-bound inequalities the
-method satisfies for admissible stepsizes.
+With R = 0 this is plain gradient descent.  From a state without the Bregman
+memory (``q = None``) the same step is the proximal-gradient baseline
+u_next = prox_{tau R}(u - tau * grad E(u)), or projected gradient when R is an
+indicator.  The module also provides the energy-backtracking stepsize rule and
+monitors for the decrease and subgradient-bound inequalities the method
+satisfies for admissible stepsizes.
 """
 
 from __future__ import annotations
@@ -135,16 +137,19 @@ def initial_state(E: SmoothObjective, R: BregmanFunction, u0, tau0: float) -> So
 
 
 def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> SolverState:
-    """One specialised linearised Bregman step; the new q is the exact prox subgradient."""
+    """One linearised Bregman step; the new q is the exact prox subgradient, zeroed
+    where ``R.memory_mask`` is 0.  From ``q = None`` it takes the baseline step
+    u_next = prox_{tau R}(u - tau * grad E(u)) and q stays None."""
     g = _checked_grad(E, st)
-    z = st.u + st.tau * (st.q - g)
-    u_new = np.asarray(R.prox(z, st.tau), dtype=np.float64)
-    q_new = (z - u_new) / st.tau
-    mask = R.dual_memory_mask()
-    if mask is not None:
-        q_new = q_new * mask
-    elif not R.dual_memory:
-        q_new = np.zeros_like(q_new)
+    if st.q is None:
+        u_new = np.asarray(R.prox(st.u - st.tau * g, st.tau), dtype=np.float64)
+        q_new = None
+    else:
+        z = st.u + st.tau * (st.q - g)
+        u_new = np.asarray(R.prox(z, st.tau), dtype=np.float64)
+        q_new = (z - u_new) / st.tau
+        if R.memory_mask is not None:
+            q_new *= R.memory_mask
     return SolverState(
         u=u_new, q=q_new, tau=st.tau, k=st.k + 1,
         u_prev=st.u, q_prev=st.q,
@@ -152,46 +157,26 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
     )
 
 
-def proximal_gradient_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> SolverState:
-    """Forward-backward step u_next = prox_{tau R}(u - tau * grad E(u)); no dual memory."""
-    g = _checked_grad(E, st)
-    u_new = np.asarray(R.prox(st.u - st.tau * g, st.tau), dtype=np.float64)
-    return SolverState(
-        u=u_new, q=None, tau=st.tau, k=st.k + 1,
-        u_prev=st.u, q_prev=None,
-        energy=float(E.value(u_new)),
-    )
-
-
-def projected_gradient_step(E: SmoothObjective, project, st: SolverState) -> SolverState:
-    """Gradient step followed by a projection (identity when ``project`` is None)."""
-    g = _checked_grad(E, st)
-    u_new = st.u - st.tau * g
-    if project is not None:
-        u_new = np.asarray(project(u_new), dtype=np.float64)
-    return SolverState(
-        u=u_new, q=None, tau=st.tau, k=st.k + 1,
-        u_prev=st.u, q_prev=None,
-        energy=float(E.value(u_new)),
-    )
-
-
-def backtrack(E: SmoothObjective, R_or_proj, st: SolverState,
-              policy: BacktrackingPolicy, step_fn=linbreg_step) -> SolverState:
+def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
+              policy: BacktrackingPolicy) -> SolverState:
     """Retry the step with tau shrunk by ``policy.shrink`` until the energy check holds.
 
     Accepts the first trial with E(u_next) <= E(u) + eps_decrease; the accepted
     tau is kept for the next iteration.  Rejected trials never advance the dual
-    state: each retry re-runs the step from the same (u, q).
+    state: each retry re-runs the step from the same (u, q).  A trial energy of
+    +inf (an overflowing step) shrinks tau like any other rejection; a NaN
+    energy raises ``NumericsError`` at once.
     """
     eps = policy.eps_decrease
     if eps is None:
         eps = 1e-12 * max(1.0, abs(st.energy))
     tau = st.tau
     while True:
-        trial = step_fn(E, R_or_proj, replace(st, tau=tau))
+        trial = linbreg_step(E, R, replace(st, tau=tau))
         if trial.energy <= st.energy + eps:
             return trial
+        if np.isnan(trial.energy):
+            raise NumericsError(f"NaN energy at iteration {st.k} with tau = {tau:g}")
         tau *= policy.shrink
         if tau < 1e-16 * policy.tau0:
             raise StagnationError(
@@ -310,30 +295,18 @@ def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
     )
 
 
-def run(E: SmoothObjective, R: BregmanFunction | None, st0: SolverState,
-        policy: BacktrackingPolicy, stop: StoppingRule,
-        method: str = "linbreg", project=None, extras_fn=None) -> RunResult:
+def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
+        policy: BacktrackingPolicy, stop: StoppingRule, extras_fn=None) -> RunResult:
     """Iterate until a stopping criterion fires; returns state, monitor log and reason.
+
+    From ``q = None`` it runs the baseline, whose records carry NaN in the
+    fields that need a dual variable.
 
     Parameters
     ----------
-    method : {"linbreg", "proximal-gd", "projected-gd"}
-        Which step to apply; the baselines carry no dual variable and record
-        reduced monitors.
-    project : callable, optional
-        Feasible-set projection for ``projected-gd``.
     extras_fn : callable, optional
         Maps an accepted state to a dict of extra metric columns.
     """
-    if method == "linbreg":
-        step, carrier = linbreg_step, R
-    elif method == "proximal-gd":
-        step, carrier = proximal_gradient_step, R
-    elif method == "projected-gd":
-        step, carrier = projected_gradient_step, project
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     resolved_eps = policy.eps_decrease
     if resolved_eps is None:
         resolved_eps = 1e-12 * max(1.0, abs(st0.energy))
@@ -351,7 +324,7 @@ def run(E: SmoothObjective, R: BregmanFunction | None, st0: SolverState,
 
     reason = "max_iter"
     for _ in range(stop.max_iter):
-        st_new = backtrack(E, carrier, st, policy, step_fn=step)
+        st_new = backtrack(E, R, st, policy)
         tau_min = min(tau_min, st_new.tau)
         records.append(_monitor(E, R, st_new, st, L, tau_min, extras_fn))
         st = st_new

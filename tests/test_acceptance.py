@@ -7,13 +7,14 @@ from the update equations and checked against an independent scalar
 recursion.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from linbreg import (
     L1,
     BacktrackingPolicy,
-    NoDualMemory,
     NuclearNorm,
     SeparableSum,
     SimplexIndicator,
@@ -25,7 +26,6 @@ from linbreg import (
     idct2,
     initial_state,
     linbreg_step,
-    project_simplex,
     prox_oracle_check,
     run,
     surrogate_subgradient,
@@ -276,7 +276,7 @@ def _bregman_deconv_regularizer(alpha, N):
     tv = TotalVariation2D(alpha, (N, N), config=PdhgConfig(tol=1e-8, maxit=400),
                           strict=False)
     parts = [(tv, (0, N * N))] if alpha > 0 else [(Zero(), (0, N * N))]
-    parts.append((NoDualMemory(SimplexIndicator()), (N * N, N * N + 15)))
+    parts.append((SimplexIndicator(), (N * N, N * N + 15), False))
     return SeparableSum(parts)
 
 
@@ -284,14 +284,11 @@ def test_criterion_07_blind_deconvolution_beats_projected_gradient():
     budget = 3500
     prob, E, u0 = _deconv_setup(sigma=0.0, seed=0)
 
-    def project(x):
-        u, h = E.split(x)
-        return E.pack(u, project_simplex(h).reshape(h.shape))
-
-    st0 = initial_state(E, Zero(), u0, tau0=1.0)
-    baseline = run(E, None, st0, BacktrackingPolicy(tau0=1.0),
-                   StoppingRule(max_iter=budget), method="projected-gd",
-                   project=project)
+    constraint = SeparableSum([(Zero(), (0, E.n_image)),
+                               (SimplexIndicator(), (E.n_image, E.size))])
+    st0 = replace(initial_state(E, Zero(), u0, tau0=1.0), q=None)
+    baseline = run(E, constraint, st0, BacktrackingPolicy(tau0=1.0),
+                   StoppingRule(max_iter=budget))
     _, h_pgd = E.split(baseline.state.u)
     herr_pgd = float(np.linalg.norm(h_pgd - prob.h_true))
 
@@ -337,7 +334,7 @@ def test_criterion_08_discrepancy_stopping():
     tv = TotalVariation2D(1e-3, (N, N), config=PdhgConfig(tol=1e-10, maxit=400),
                           strict=False)
     R = SeparableSum([(tv, (0, N * N)),
-                      (NoDualMemory(SimplexIndicator()), (N * N, N * N + 15))])
+                      (SimplexIndicator(), (N * N, N * N + 15), False)])
     st0 = initial_state(E, R, u0, tau0=2.0)
     max_iter = 30000
     res = run(E, R, st0, BacktrackingPolicy(tau0=2.0),

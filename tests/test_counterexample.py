@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linbreg.problems import CounterexampleProblem, counterexample_run
+from linbreg.problems import counterexample_run
+from linbreg.problems.counterexample import ShiftedParabola
 
 
 class TestCounterexample:
@@ -25,7 +26,7 @@ class TestCounterexample:
         t = counterexample_run(0.5, 20)
         assert t.final_grad_norm == pytest.approx(1.0, abs=0.0)
         # the energy's only critical point, -1, is outside the feasible set
-        E, _ = CounterexampleProblem().build()
+        E = ShiftedParabola()
         assert E.grad(np.array([-1.0]))[0] == 0.0
 
     def test_requires_positive_start(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linbreg import ConfigError
+from linbreg import ConfigError, project_simplex
 from linbreg.experiment import (
     apply_overrides,
     parse_config_text,
@@ -253,12 +253,33 @@ class TestRunExperiment:
         assert log.iterations == 3
         assert np.isfinite(log.final_energy)
 
-    def test_projected_gd_solver(self, tmp_path):
+    def test_projected_gd_solver(self, tmp_path, monkeypatch):
         cfg = parse_config_text(
             "problem = deconv\nheight = 10\nwidth = 10\nsolver = projected-gd\n"
             "alpha = 0.0\nmax_iter = 4\nseed = 5\ntau0 = 1.0\n")
         log = run_experiment(cfg, tmp_path / "run")
         assert log.iterations == 4
+        _assert_baseline_rows(tmp_path / "run" / "log.csv")
+
+        # the first iterate is a gradient step on the image and a projected
+        # gradient step on the kernel
+        import linbreg.experiment as experiment
+
+        calls = []
+        solver_run = experiment.run
+
+        def spy(E, R, st0, *args, **kwargs):
+            calls.append((E, st0, solver_run(E, R, st0, *args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(experiment, "run", spy)
+        run_experiment(apply_overrides(cfg, max_iter=1), tmp_path / "one")
+        (E, st0, result), = calls
+        tau = result.records[0].tau
+        u, h = E.split(st0.u)
+        gu, gh = E.split(E.grad(st0.u))
+        expected = E.pack(u - tau * gu, project_simplex(h - tau * gh))
+        assert np.array_equal(result.state.u, expected)
 
     def test_proximal_gd_solver(self, tmp_path):
         cfg = parse_config_text(
@@ -266,3 +287,16 @@ class TestRunExperiment:
             "alpha = 0.01\nmax_iter = 4\nseed = 5\ntv_tol = 1e-5\ntv_maxit = 50000\n")
         log = run_experiment(cfg, tmp_path / "run")
         assert log.iterations == 4
+        _assert_baseline_rows(tmp_path / "run" / "log.csv")
+
+
+def _assert_baseline_rows(path):
+    """Baselines carry no dual variable: the monitors that need one read nan,
+    and the certificates they cannot check read 1."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert rows
+    for row in rows:
+        rec = dict(zip(header, row))
+        for col in ("surrogate", "breg_sym", "r_norm", "rho2_bound"):
+            assert rec[col] == "nan"
+        assert rec["decrease_ok"] == "1" and rec["bound_ok"] == "1"

@@ -5,6 +5,7 @@ from linbreg import (
     L1,
     NonnegativeIndicator,
     NuclearNorm,
+    SeparableSum,
     SimplexIndicator,
     SquaredL2,
     TotalVariation2D,
@@ -12,7 +13,6 @@ from linbreg import (
     WeightedL1Dct,
     Zero,
     bregman_distance,
-    compose_separable,
     dct2,
     fenchel_residual,
     project_simplex,
@@ -347,19 +347,19 @@ class TestInstancesCommon:
 class TestComposeSeparable:
     def test_single_part_identity(self):
         R = L1(0.5)
-        S = compose_separable([(R, (0, 4))])
+        S = SeparableSum([(R, (0, 4))])
         rng = np.random.default_rng(7)
         z = rng.standard_normal(4)
         assert S.value(z) == pytest.approx(R.value(z))
         assert np.array_equal(S.prox(z, 0.7), R.prox(z, 0.7))
 
     def test_two_quadratic_blocks(self):
-        S = compose_separable([(SquaredL2(), (0, 3)), (SquaredL2(), (3, 5))])
+        S = SeparableSum([(SquaredL2(), (0, 3)), (SquaredL2(), (3, 5))])
         z = np.arange(5.0)
         assert np.allclose(S.prox(z, 2.0), z / 3.0)
 
     def test_l1_plus_simplex_blockwise(self):
-        S = compose_separable([(L1(1.0), (0, 3)), (SimplexIndicator(), (3, 6))])
+        S = SeparableSum([(L1(1.0), (0, 3)), (SimplexIndicator(), (3, 6))])
         rng = np.random.default_rng(8)
         z = rng.standard_normal(6)
         out = S.prox(z, 0.5)
@@ -368,17 +368,17 @@ class TestComposeSeparable:
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
-            compose_separable([(L1(), (0, 3)), (L1(), (4, 6))])  # gap
+            SeparableSum([(L1(), (0, 3)), (L1(), (4, 6))])  # gap
         with pytest.raises(ValueError):
-            compose_separable([(L1(), (0, 3)), (L1(), (2, 6))])  # overlap
+            SeparableSum([(L1(), (0, 3)), (L1(), (2, 6))])  # overlap
 
     def test_conjugate_availability_propagates(self):
-        S = compose_separable([(L1(), (0, 2)), (TotalVariation2D(1.0, (1, 2)), (2, 4))])
+        S = SeparableSum([(L1(), (0, 2)), (TotalVariation2D(1.0, (1, 2)), (2, 4))])
         assert not S.has_conjugate
         with pytest.raises(UnsupportedOperation):
             S.conjugate_value(np.zeros(4))
 
     def test_separable_conjugate_value(self):
-        S = compose_separable([(SquaredL2(), (0, 2)), (SquaredL2(), (2, 4))])
+        S = SeparableSum([(SquaredL2(), (0, 2)), (SquaredL2(), (2, 4))])
         q = np.array([1.0, 2.0, 3.0, 4.0])
         assert S.conjugate_value(q) == pytest.approx(0.5 * np.sum(q ** 2))

@@ -4,6 +4,7 @@ import pytest
 from linbreg import (
     L1,
     BacktrackingPolicy,
+    SeparableSum,
     SimplexIndicator,
     SquaredL2,
     StagnationError,
@@ -16,8 +17,6 @@ from linbreg import (
     initial_state,
     linbreg_step,
     project_simplex,
-    projected_gradient_step,
-    proximal_gradient_step,
     prox_l1,
     run,
     surrogate_subgradient,
@@ -87,7 +86,7 @@ class TestProjectedGradientStep:
         c = np.array([0.2, 0.3, 0.5])
         E = LeastSquares(c)
         st = SolverState(u=c.copy(), q=None, tau=1.0, energy=E.value(c))
-        st1 = projected_gradient_step(E, lambda x: project_simplex(x), st)
+        st1 = linbreg_step(E, SimplexIndicator(), st)
         assert np.allclose(st1.u, c, atol=1e-12)
 
     def test_single_step_projects_target(self):
@@ -95,7 +94,7 @@ class TestProjectedGradientStep:
         E = LeastSquares(c)
         h0 = np.full(3, 1.0 / 3.0)
         st = SolverState(u=h0, q=None, tau=1.0, energy=E.value(h0))
-        st1 = projected_gradient_step(E, lambda x: project_simplex(x), st)
+        st1 = linbreg_step(E, SimplexIndicator(), st)
         assert np.allclose(st1.u, project_simplex(c), atol=1e-14)
 
     def test_equivalence_with_linbreg_on_indicator(self):
@@ -111,21 +110,18 @@ class TestProjectedGradientStep:
         u0 = np.full(n, 1.0 / n)
         st_b = initial_state(E, R, u0, tau0=0.3)
         st_p = SolverState(u=u0.copy(), q=None, tau=0.3, energy=E.value(u0))
-        proj = lambda x: project_simplex(x)
         for _ in range(30):
             st_b = linbreg_step(E, R, st_b)
-            st_p = projected_gradient_step(E, proj, st_p)
+            st_p = linbreg_step(E, R, st_p)
             assert np.abs(st_b.u - st_p.u).max() < 1e-12
 
 
 class TestDualMemoryMask:
     def test_top_level_wrapper_equals_projected_gradient(self):
-        from linbreg import NoDualMemory
-
         rng = np.random.default_rng(11)
         c = rng.standard_normal(5)
         E = LeastSquares(c)
-        R = NoDualMemory(SimplexIndicator())
+        R = SeparableSum([(SimplexIndicator(), (0, 5), False)])
         st = initial_state(E, R, np.full(5, 0.2), tau0=0.4)
         ref = np.full(5, 0.2)
         for _ in range(8):
@@ -135,15 +131,13 @@ class TestDualMemoryMask:
             assert np.array_equal(st.u, ref)
 
     def test_masked_block_in_separable_sum(self):
-        from linbreg import NoDualMemory, SeparableSum
-
         rng = np.random.default_rng(12)
         target = rng.standard_normal(6)
         target[3:] = project_simplex(target[3:]) + 0.5  # infeasible kernel block
         E = LeastSquares(target)
         R = SeparableSum([
             (L1(0.2), (0, 3)),
-            (NoDualMemory(SimplexIndicator()), (3, 6)),
+            (SimplexIndicator(), (3, 6), False),
         ])
         u0 = np.concatenate([np.zeros(3), np.full(3, 1.0 / 3.0)])
         st = initial_state(E, R, u0, tau0=0.5)
@@ -154,14 +148,12 @@ class TestDualMemoryMask:
         assert np.abs(st.q[:3]).max() > 0
 
     def test_nested_sum_mask_splices(self):
-        from linbreg import NoDualMemory, SeparableSum
-
         inner = SeparableSum([
             (L1(0.1), (0, 2)),
-            (NoDualMemory(SimplexIndicator()), (2, 4)),
+            (SimplexIndicator(), (2, 4), False),
         ])
         outer = SeparableSum([(SquaredL2(), (0, 3)), (inner, (3, 7))])
-        mask = outer.dual_memory_mask()
+        mask = outer.memory_mask
         assert np.array_equal(mask, [1, 1, 1, 1, 1, 0, 0])
 
 
@@ -172,7 +164,7 @@ class TestProximalGradientStep:
         E = LeastSquares(f)
         u0 = rng.standard_normal(5)
         st = SolverState(u=u0, q=None, tau=0.7, energy=E.value(u0))
-        st1 = proximal_gradient_step(E, Zero(), st)
+        st1 = linbreg_step(E, Zero(), st)
         assert np.allclose(st1.u, u0 - 0.7 * E.grad(u0), atol=1e-15)
 
     def test_first_step_coincides_with_linbreg_then_diverges(self):
@@ -184,12 +176,12 @@ class TestProximalGradientStep:
         st_p = SolverState(u=u0.copy(), q=None, tau=1.0, energy=E.value(u0))
 
         st_b = linbreg_step(E, R, st_b)
-        st_p = proximal_gradient_step(E, R, st_p)
+        st_p = linbreg_step(E, R, st_p)
         assert np.allclose(st_b.u, prox_l1(f, 1.0), atol=1e-14)
         assert np.abs(st_b.u - st_p.u).max() < 1e-14
 
         st_b = linbreg_step(E, R, st_b)
-        st_p = proximal_gradient_step(E, R, st_p)
+        st_p = linbreg_step(E, R, st_p)
         assert np.abs(st_b.u - st_p.u).max() > 1e-3  # dual memory changes the argument
 
 
@@ -241,6 +233,39 @@ class TestBacktrack:
                          energy=E.value(np.array([1.0])))
         with pytest.raises(StagnationError):
             backtrack(E, Zero(), st, BacktrackingPolicy(tau0=1.0, eps_decrease=0.0))
+
+    def test_nan_energy_raises_at_once(self):
+        # a NaN trial energy is a numerical fault, not a too-long step: no
+        # shrinking, and the error names the iteration and the stepsize
+        class NanAway(SmoothObjective):
+            calls = 0
+
+            def value(self, u):
+                self.calls += 1
+                return float("nan")
+
+            def grad(self, u):
+                return np.ones_like(np.asarray(u))
+
+        E = NanAway()
+        st = SolverState(u=np.array([1.0]), q=np.zeros(1), tau=0.5, k=7, energy=1.0)
+        with pytest.raises(NumericsError, match="iteration 7.*tau = 0.5") as info:
+            backtrack(E, Zero(), st, BacktrackingPolicy(tau0=0.5))
+        assert type(info.value) is NumericsError
+        assert E.calls == 1
+
+    def test_infinite_energy_keeps_shrinking(self):
+        # an overflowing trial (E = +inf) is rejected like any too-long step
+        class Overflow(LeastSquares):
+            def value(self, u):
+                return float("inf") if float(np.ravel(u)[0]) < -0.9 else super().value(u)
+
+        # from u = 1 with grad 1: tau = 2 lands on -1 (inf), tau = 1.5 on -0.5
+        E = Overflow(np.array([0.0]))
+        st = initial_state(E, Zero(), np.array([1.0]), tau0=2.0)
+        st1 = backtrack(E, Zero(), st, BacktrackingPolicy(tau0=2.0))
+        assert st1.tau == 1.5
+        assert st1.u[0] == -0.5
 
 
 class TestSurrogate:
