@@ -45,7 +45,8 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
+        cfg = apply_overrides(parse_config(args.config), seed=getattr(args, "seed", None),
+                              max_iter=getattr(args, "max_iter", None))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -54,9 +55,6 @@ def main(argv=None) -> int:
         print(f"ok: problem={cfg['problem']} solver={cfg['solver']} "
               f"max_iter={cfg['max_iter']} seed={cfg['seed']}")
         return 0
-
-    cfg = apply_overrides(cfg, seed=getattr(args, "seed", None),
-                          max_iter=getattr(args, "max_iter", None))
 
     if args.command == "grad-check":
         try:

@@ -152,6 +152,23 @@ _SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 _DEFAULT_TAU0 = {"deconv": 2.0, "mri": 0.5, "classifier": 1e-3, "quadratic": 1.0}
 _DEFAULT_ALPHA = {"deconv": 0.05, "mri": 1.0, "classifier": 0.0, "quadratic": 0.0}
 
+# key -> the range check of the object the key configures
+_RANGE_CHECKS = {
+    "tau0": lambda v: BacktrackingPolicy(tau0=v),
+    "eps_decrease": lambda v: BacktrackingPolicy(tau0=1.0, eps_decrease=v),
+    "max_iter": lambda v: StoppingRule(max_iter=v),
+    "tv_maxit": lambda v: PdhgConfig(maxit=v),
+}
+
+
+def _check_ranges(values: dict, source: str) -> None:
+    for key, check in _RANGE_CHECKS.items():
+        if values.get(key) is not None:
+            try:
+                check(values[key])
+            except ValueError as exc:
+                raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
+
 
 @dataclass
 class ExperimentConfig:
@@ -219,6 +236,7 @@ def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
         values["tau0"] = _DEFAULT_TAU0[problem]
     if values["alpha"] is None:
         values["alpha"] = _DEFAULT_ALPHA[problem]
+    _check_ranges(values, source)
     return ExperimentConfig(values=values, source=source)
 
 
@@ -228,6 +246,7 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, max_iter=None) -> Experime
         values["seed"] = int(seed)
     if max_iter is not None:
         values["max_iter"] = int(max_iter)
+    _check_ranges(values, cfg.source)
     return ExperimentConfig(values=values, source=cfg.source)
 
 

@@ -218,15 +218,10 @@ class ClassifierObjective(SmoothObjective):
     def pack(self, As):
         return np.concatenate([np.ravel(A) for A in As])
 
-    def value(self, x):
-        value, _ = nn_energy_grad(self.split(x), self.p.D, self.p.Y, self.activation,
-                                  self.p.loss_kind, self.p.loss_eps, self.p.eps)
-        return value
-
-    def grad(self, x):
-        _, grads = nn_energy_grad(self.split(x), self.p.D, self.p.Y, self.activation,
-                                  self.p.loss_kind, self.p.loss_eps, self.p.eps)
-        return self.pack(grads)
+    def value_and_grad(self, x):
+        value, grads = nn_energy_grad(self.split(x), self.p.D, self.p.Y, self.activation,
+                                      self.p.loss_kind, self.p.loss_eps, self.p.eps)
+        return value, self.pack(grads)
 
 
 def init_weights(shapes, seed: int):

@@ -17,12 +17,9 @@ class ShiftedParabola(SmoothObjective):
 
     lipschitz = 1.0
 
-    def value(self, u):
+    def value_and_grad(self, u):
         x = float(np.ravel(u)[0])
-        return 0.5 * (x + 1.0) ** 2
-
-    def grad(self, u):
-        return np.asarray(u, dtype=np.float64) + 1.0
+        return 0.5 * (x + 1.0) ** 2, np.asarray(u, dtype=np.float64) + 1.0
 
 
 @dataclass
@@ -57,5 +54,5 @@ def counterexample_run(u0: float, steps: int) -> CounterexampleTrajectory:
         qs.append(float(st.q[0]))
     return CounterexampleTrajectory(
         us=np.array(us), qs=np.array(qs),
-        final_grad_norm=abs(float(E.grad(st.u)[0])),
+        final_grad_norm=abs(float(st.grad[0])),
     )

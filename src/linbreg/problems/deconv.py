@@ -71,20 +71,12 @@ class BlindDeconvObjective(SmoothObjective):
     def pack(self, u, h):
         return np.concatenate([np.ravel(u), np.ravel(h)])
 
-    def residual(self, x):
-        u, h = self.split(x)
-        return conv2d_periodic(u, h) - self.f
-
-    def value(self, x):
-        r = self.residual(x)
-        return 0.5 * float(np.sum(r * r))
-
-    def grad(self, x):
+    def value_and_grad(self, x):
         u, h = self.split(x)
         r = conv2d_periodic(u, h) - self.f
         gu = conv2d_periodic_adjoint(r, h)
         gh = kernel_gradient(u, r, self.kernel_shape)
-        return self.pack(gu, gh)
+        return 0.5 * float(np.sum(r * r)), self.pack(gu, gh)
 
 
 def motion_kernel(shape, angle: float) -> np.ndarray:

@@ -132,15 +132,10 @@ class ParallelMriObjective(SmoothObjective):
             parts.append(np.imag(b).ravel())
         return np.concatenate(parts)
 
-    def value(self, x):
+    def value_and_grad(self, x):
         u, bs = self.split(x)
-        value, _, _ = mri_energy_grad(u, bs, self.mask, self.data, self.eps)
-        return value
-
-    def grad(self, x):
-        u, bs = self.split(x)
-        _, gu, gbs = mri_energy_grad(u, bs, self.mask, self.data, self.eps)
-        return self.pack(gu, gbs)
+        value, gu, gbs = mri_energy_grad(u, bs, self.mask, self.data, self.eps)
+        return value, self.pack(gu, gbs)
 
 
 def make_synthetic_mri(seed: int, N: int, coils: int = 2, mask_kind: str = "spiral",

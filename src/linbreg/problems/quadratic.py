@@ -20,13 +20,11 @@ class QuadraticObjective(SmoothObjective):
             lipschitz = float(np.max(np.linalg.eigvalsh(0.5 * (self.A + self.A.T))))
         self.lipschitz = lipschitz
 
-    def value(self, u):
-        u = np.ravel(u)
-        return 0.5 * float(u @ self.A @ u) - float(self.b @ u) + self.c
-
-    def grad(self, u):
+    def value_and_grad(self, u):
         shape = np.asarray(u).shape
-        return (self.A @ np.ravel(u) - self.b).reshape(shape)
+        u = np.ravel(u)
+        return (0.5 * float(u @ self.A @ u) - float(self.b @ u) + self.c,
+                (self.A @ u - self.b).reshape(shape))
 
 
 class LeastSquares(SmoothObjective):
@@ -37,12 +35,9 @@ class LeastSquares(SmoothObjective):
     def __init__(self, f):
         self.f = np.asarray(f, dtype=np.float64)
 
-    def value(self, u):
+    def value_and_grad(self, u):
         d = np.ravel(u) - np.ravel(self.f)
-        return 0.5 * float(d @ d)
-
-    def grad(self, u):
-        return np.asarray(u, dtype=np.float64) - np.reshape(self.f, np.asarray(u).shape)
+        return 0.5 * float(d @ d), d.reshape(np.shape(u))
 
 
 def random_psd_quadratic(seed: int, n: int, L: float = 1.0, mu: float = 0.05) -> QuadraticObjective:

@@ -7,7 +7,7 @@ Every regularizer is a :class:`BregmanFunction` exposing
 * ``initial_subgradient`` -- a deterministic element of the subdifferential,
 * ``conjugate_value(q)``  -- the convex conjugate R*(q), where available.
 
-Instances are immutable after construction (the one exception is the opt-in
+Instances are immutable after construction (the one exception is the
 warm-start cache of :class:`TotalVariation2D`, see its docstring) and operate
 on arrays of any shape with the expected number of entries; outputs match the
 input's shape.
@@ -333,11 +333,11 @@ class TotalVariation2D(BregmanFunction):
     No closed-form conjugate exists in this discretisation, so subgradient
     certification for TV relies on prox-construction optimality only.
 
-    With ``warm_start=True`` (default) the instance keeps the last inner dual
-    variable and reuses it for the next prox call, cutting inner iterations
-    when consecutive arguments are close (as they are along an outer solver
-    run).  A warm-started instance should not be shared between concurrently
-    running solvers; construct one per run, or pass ``warm_start=False``.
+    The instance keeps the last inner dual variable and reuses it as the warm
+    start of the next prox call, cutting inner iterations when consecutive
+    arguments are close (as they are along an outer solver run).  An instance
+    should not be shared between concurrently running solvers; construct one
+    per run.
 
     With ``strict=False`` an exhausted inner iteration budget returns the best
     iterate found instead of raising.  The inexactness need not vanish along
@@ -350,13 +350,12 @@ class TotalVariation2D(BregmanFunction):
     has_conjugate = False
 
     def __init__(self, alpha: float, shape, config: pdhg.PdhgConfig | None = None,
-                 warm_start: bool = True, strict: bool = True):
+                 strict: bool = True):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
         self.shape = tuple(shape)
         self.config = config if config is not None else pdhg.PdhgConfig()
-        self.warm_start = bool(warm_start)
         self.strict = bool(strict)
         self._dual = None
         self._dual_lam = None
@@ -373,7 +372,7 @@ class TotalVariation2D(BregmanFunction):
         z = np.asarray(z, dtype=np.float64)
         lam = tau * self.alpha
         dual0 = None
-        if self.warm_start and self._dual is not None:
+        if self._dual is not None:
             dual0 = self._dual
             # the dual solution scales with the ball radius; rescale the warm
             # start when the outer stepsize changed between calls
@@ -385,9 +384,8 @@ class TotalVariation2D(BregmanFunction):
             if self.strict:
                 raise
             res = err.result
-        if self.warm_start:
-            self._dual = res.dual
-            self._dual_lam = lam
+        self._dual = res.dual
+        self._dual_lam = lam
         return res.u.reshape(z.shape)
 
     def initial_subgradient(self, u):

@@ -12,6 +12,10 @@ u_next = prox_{tau R}(u - tau * grad E(u)), or projected gradient when R is an
 indicator.  The module also provides the energy-backtracking stepsize rule and
 monitors for the decrease and subgradient-bound inequalities the method
 satisfies for admissible stepsizes.
+
+Each point is evaluated once: a step evaluates E and grad E together at its
+new iterate, so a backtracking trial costs one ``value_and_grad`` call, and
+the next step and the monitors reuse what the accepted trial computed.
 """
 
 from __future__ import annotations
@@ -27,20 +31,27 @@ NAN = float("nan")
 
 
 class SmoothObjective:
-    """Differentiable energy with value and gradient; ``lipschitz`` may be None."""
+    """Differentiable energy; subclasses implement ``value_and_grad``.
+
+    ``lipschitz`` may be None.  ``value`` and ``grad`` are conveniences that
+    evaluate both and keep one; the solver never calls them.
+    """
 
     lipschitz: float | None = None
 
-    def value(self, u) -> float:
+    def value_and_grad(self, u) -> tuple[float, np.ndarray]:
         raise NotImplementedError
 
+    def value(self, u) -> float:
+        return self.value_and_grad(u)[0]
+
     def grad(self, u) -> np.ndarray:
-        raise NotImplementedError
+        return self.value_and_grad(u)[1]
 
 
 @dataclass
 class SolverState:
-    """Iterate pair (u^k, q^k) plus stepsize, counters and cached evaluations."""
+    """Iterate pair (u^k, q^k) plus stepsize, counters and E, grad E at u^k."""
 
     u: np.ndarray
     q: np.ndarray | None
@@ -51,7 +62,6 @@ class SolverState:
     energy: float = NAN
     surrogate: float = NAN
     grad: np.ndarray | None = None
-    grad_norm: float = NAN
 
 
 @dataclass
@@ -84,6 +94,8 @@ class BacktrackingPolicy:
             raise ValueError("tau0 must be positive")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie strictly between 0 and 1")
+        if self.eps_decrease is not None and not self.eps_decrease >= 0:
+            raise ValueError("eps_decrease must be nonnegative")
 
 
 @dataclass
@@ -100,7 +112,6 @@ class MonitorRecord:
     rho2_bound: float
     decrease_ok: bool
     bound_ok: bool
-    grad_norm: float = NAN
     extras: dict = field(default_factory=dict)
 
 
@@ -117,7 +128,7 @@ class RunResult:
 
 
 def _checked_grad(E: SmoothObjective, st: SolverState) -> np.ndarray:
-    g = st.grad if st.grad is not None else E.grad(st.u)
+    g = st.grad if st.grad is not None else E.value_and_grad(st.u)[1]
     if not np.all(np.isfinite(g)):
         raise NumericsError(f"non-finite gradient at iteration {st.k}")
     return np.asarray(g, dtype=np.float64)
@@ -127,13 +138,11 @@ def initial_state(E: SmoothObjective, R: BregmanFunction, u0, tau0: float) -> So
     """Build the k=0 state with q0 = R.initial_subgradient(u0) and F(s0) = E(u0)."""
     u0 = np.asarray(u0, dtype=np.float64)
     q0 = np.asarray(R.initial_subgradient(u0), dtype=np.float64)
-    e0 = float(E.value(u0))
-    st = SolverState(u=u0, q=q0, tau=float(tau0), k=0, energy=e0)
-    try:
-        st.surrogate = surrogate_value(E, R, u0, q0, fallback_prev=(u0, None))
-    except UnsupportedOperation:
-        st.surrogate = e0
-    return st
+    e0, g0 = E.value_and_grad(u0)
+    e0 = float(e0)
+    return SolverState(u=u0, q=q0, tau=float(tau0), k=0, energy=e0,
+                       surrogate=surrogate_value(e0, R, u0, q0, base=u0),
+                       grad=np.asarray(g0, dtype=np.float64))
 
 
 def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> SolverState:
@@ -150,10 +159,11 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
         q_new = (z - u_new) / st.tau
         if R.memory_mask is not None:
             q_new *= R.memory_mask
+    e_new, g_new = E.value_and_grad(u_new)
     return SolverState(
         u=u_new, q=q_new, tau=st.tau, k=st.k + 1,
         u_prev=st.u, q_prev=st.q,
-        energy=float(E.value(u_new)),
+        energy=float(e_new), grad=np.asarray(g_new, dtype=np.float64),
     )
 
 
@@ -185,24 +195,21 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
             )
 
 
-def surrogate_value(E: SmoothObjective, R: BregmanFunction, x, y,
-                    fallback_prev=None) -> float:
-    """Surrogate objective F(x, y) = E(x) + R(x) + R*(y) - <x, y>.
+def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None) -> float:
+    """Surrogate objective F(x, y) = E(x) + R(x) + R*(y) - <x, y>, given E(x).
 
     When R has no conjugate evaluation, falls back to the equivalent Bregman
-    form E(x) + D_R^y(x, v) for a point v with y in dR(v), supplied as the
-    first element of ``fallback_prev``.
+    form E(x) + D_R^y(x, base) for a point ``base`` with y in dR(base).
     """
-    ex = float(E.value(x))
+    ex = float(energy)
     if R.has_conjugate:
         rx = R.value(x)
         rstar = R.conjugate_value(y)
         return ex + float(rx) + float(rstar) - float(np.vdot(np.ravel(x), np.ravel(y)).real)
-    if fallback_prev is None:
+    if base is None:
         raise UnsupportedOperation(
             "no conjugate available and no base point given for the Bregman form")
-    v = fallback_prev[0]
-    return ex + bregman_distance(R, x, v, y)
+    return ex + bregman_distance(R, x, base, y)
 
 
 def surrogate_subgradient(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> np.ndarray:
@@ -252,19 +259,12 @@ def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
     """Fill a MonitorRecord for an accepted step st_old -> st_new (linbreg only fields
     degrade to NaN for the baselines, which carry no dual variable)."""
     gap = float(np.linalg.norm(np.ravel(st_new.u) - np.ravel(st_old.u)))
-    g_new = E.grad(st_new.u)
-    st_new.grad = np.asarray(g_new, dtype=np.float64)
-    st_new.grad_norm = float(np.linalg.norm(np.ravel(g_new)))
 
     if st_new.q is not None:
         breg_sym = symmetric_bregman_distance(R, st_new.u, st_old.u, st_new.q, st_old.q)
         r = surrogate_subgradient(E, R, st_new)
         r_norm = float(np.linalg.norm(r))
-        try:
-            st_new.surrogate = surrogate_value(E, R, st_new.u, st_old.q,
-                                               fallback_prev=(st_old.u, None))
-        except UnsupportedOperation:
-            st_new.surrogate = NAN
+        st_new.surrogate = surrogate_value(st_new.energy, R, st_new.u, st_old.q, base=st_old.u)
     else:
         breg_sym = NAN
         r_norm = NAN
@@ -290,8 +290,7 @@ def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
     return MonitorRecord(
         k=st_new.k, tau=st_new.tau, energy=st_new.energy, surrogate=st_new.surrogate,
         iterate_gap=gap, breg_sym=breg_sym, r_norm=r_norm, rho2_bound=rho2_bound,
-        decrease_ok=bool(decrease_ok), bound_ok=bool(bound_ok),
-        grad_norm=st_new.grad_norm, extras=extras,
+        decrease_ok=bool(decrease_ok), bound_ok=bool(bound_ok), extras=extras,
     )
 
 

@@ -187,6 +187,7 @@ def test_criterion_05_counterexample_literal_closed_form():
 # 6. prox correctness against independent oracles
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_06_prox_oracles_closed_forms():
     rng = np.random.default_rng(6)
     for i in range(20):
@@ -238,6 +239,7 @@ def test_criterion_06_prox_oracles_closed_forms():
         assert gap <= 1e-8
 
 
+@pytest.mark.slow
 def test_criterion_06_prox_oracle_tv():
     # 1xN step signal
     z1 = np.array([[0.0, 0.0, 4.0, 4.0, 0.0, 0.0]])
@@ -280,6 +282,7 @@ def _bregman_deconv_regularizer(alpha, N):
     return SeparableSum(parts)
 
 
+@pytest.mark.slow
 def test_criterion_07_blind_deconvolution_beats_projected_gradient():
     budget = 3500
     prob, E, u0 = _deconv_setup(sigma=0.0, seed=0)
@@ -325,6 +328,7 @@ def test_criterion_07_blind_deconvolution_beats_projected_gradient():
 # 8. discrepancy stopping on noisy data
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_discrepancy_stopping():
     sigma = 1e-4
     N = 16
@@ -348,6 +352,7 @@ def test_criterion_08_discrepancy_stopping():
 # 9. classifier rank monotonicity and prediction improvement
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_09_classifier_rank_monotone_and_learning():
     D, labels = synthetic_digits(0, 500)
     Y = one_hot(labels)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from linbreg.cli import main
 
@@ -33,6 +34,36 @@ class TestCheck:
 
     def test_missing_file_exit_code_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2
+
+
+# values outside the range of the object each key configures: (config, key)
+OUT_OF_RANGE = [
+    ("problem = quadratic\nn = 6\ntau0 = 0\n", "tau0"),
+    ("problem = quadratic\nn = 6\nmax_iter = -3\n", "max_iter"),
+    ("problem = quadratic\nn = 6\neps_decrease = -1\n", "eps_decrease"),
+    ("problem = deconv\nheight = 8\nwidth = 8\ntv_maxit = 0\n", "tv_maxit"),
+]
+
+
+class TestOutOfRange:
+    @pytest.mark.parametrize("text, key", OUT_OF_RANGE, ids=[k for _, k in OUT_OF_RANGE])
+    def test_check_exit_code_2(self, tmp_path, capsys, text, key):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["check", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+
+    @pytest.mark.parametrize("text, flags, key",
+                             [(t, [], k) for t, k in OUT_OF_RANGE]
+                             + [("problem = quadratic\nn = 6\n", ["--max-iter", "-2"], "max_iter")],
+                             ids=[k for _, k in OUT_OF_RANGE] + ["--max-iter"])
+    def test_run_exit_code_2(self, tmp_path, capsys, text, flags, key):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err
+        assert not out.exists()
 
 
 class TestRun:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import linbreg.solver
 from linbreg import (
     L1,
     BacktrackingPolicy,
@@ -70,11 +73,8 @@ class TestLinbregStep:
 
     def test_non_finite_gradient_aborts(self):
         class Bad(SmoothObjective):
-            def value(self, u):
-                return 0.0
-
-            def grad(self, u):
-                return np.full_like(np.asarray(u), np.nan)
+            def value_and_grad(self, u):
+                return 0.0, np.full_like(np.asarray(u), np.nan)
 
         st = SolverState(u=np.zeros(3), q=np.zeros(3), tau=1.0, energy=0.0)
         with pytest.raises(NumericsError):
@@ -221,12 +221,10 @@ class TestBacktrack:
         # sqrt-shaped energy: any step away from the start raises the value,
         # so no stepsize can ever satisfy the decrease check
         class Worse(SmoothObjective):
-            def value(self, u):
-                u = np.ravel(u)
-                return float(np.abs(u[0] - 1.0) ** 0.5) if u[0] != 1.0 else 0.0
-
-            def grad(self, u):
-                return np.ones_like(np.asarray(u))
+            def value_and_grad(self, u):
+                x = np.ravel(u)
+                value = float(np.abs(x[0] - 1.0) ** 0.5) if x[0] != 1.0 else 0.0
+                return value, np.ones_like(np.asarray(u))
 
         E = Worse()
         st = SolverState(u=np.array([1.0]), q=np.zeros(1), tau=1.0,
@@ -240,15 +238,13 @@ class TestBacktrack:
         class NanAway(SmoothObjective):
             calls = 0
 
-            def value(self, u):
+            def value_and_grad(self, u):
                 self.calls += 1
-                return float("nan")
-
-            def grad(self, u):
-                return np.ones_like(np.asarray(u))
+                return float("nan"), np.ones_like(np.asarray(u))
 
         E = NanAway()
-        st = SolverState(u=np.array([1.0]), q=np.zeros(1), tau=0.5, k=7, energy=1.0)
+        st = SolverState(u=np.array([1.0]), q=np.zeros(1), tau=0.5, k=7, energy=1.0,
+                         grad=np.ones(1))
         with pytest.raises(NumericsError, match="iteration 7.*tau = 0.5") as info:
             backtrack(E, Zero(), st, BacktrackingPolicy(tau0=0.5))
         assert type(info.value) is NumericsError
@@ -257,8 +253,9 @@ class TestBacktrack:
     def test_infinite_energy_keeps_shrinking(self):
         # an overflowing trial (E = +inf) is rejected like any too-long step
         class Overflow(LeastSquares):
-            def value(self, u):
-                return float("inf") if float(np.ravel(u)[0]) < -0.9 else super().value(u)
+            def value_and_grad(self, u):
+                value, g = super().value_and_grad(u)
+                return (float("inf") if float(np.ravel(u)[0]) < -0.9 else value), g
 
         # from u = 1 with grad 1: tau = 2 lands on -1 (inf), tau = 1.5 on -0.5
         E = Overflow(np.array([0.0]))
@@ -268,12 +265,52 @@ class TestBacktrack:
         assert st1.u[0] == -0.5
 
 
+class TestEvaluationCount:
+    @pytest.mark.parametrize("memory", [True, False])
+    def test_one_evaluation_per_trial(self, monkeypatch, memory):
+        # tau0 = 3 exceeds 2/L = 2, so backtracking rejects trials; the solver
+        # evaluates E once at u0 and once per trial, never through value or grad
+        class Counted(QuadraticObjective):
+            calls = 0
+
+            def value_and_grad(self, u):
+                self.calls += 1
+                return super().value_and_grad(u)
+
+            def value(self, u):
+                raise AssertionError("the solver called E.value")
+
+            def grad(self, u):
+                raise AssertionError("the solver called E.grad")
+
+        base = random_psd_quadratic(0, 20, L=1.0)
+        E = Counted(base.A, base.b, lipschitz=base.lipschitz)
+        R = L1(0.1)
+        trials = 0
+        step = linbreg.solver.linbreg_step
+
+        def counted_step(*args):
+            nonlocal trials
+            trials += 1
+            return step(*args)
+
+        monkeypatch.setattr(linbreg.solver, "linbreg_step", counted_step)
+        st0 = initial_state(E, R, np.zeros(20), tau0=3.0)
+        if not memory:
+            st0 = replace(st0, q=None)
+        result = run(E, R, st0, BacktrackingPolicy(tau0=3.0), StoppingRule(max_iter=30))
+        assert len(result.records) == 30
+        assert trials > len(result.records)
+        assert E.calls == 1 + trials
+
+
 class TestSurrogate:
     def test_zero_regularizer_gives_energy(self):
         rng = np.random.default_rng(4)
         E = LeastSquares(rng.standard_normal(4))
         x = rng.standard_normal(4)
-        assert surrogate_value(E, Zero(), x, np.zeros(4)) == pytest.approx(E.value(x), rel=1e-14)
+        ex = E.value(x)
+        assert surrogate_value(ex, Zero(), x, np.zeros(4)) == pytest.approx(ex, rel=1e-14)
 
     def test_vanishes_to_energy_at_base_point(self):
         rng = np.random.default_rng(5)
@@ -281,7 +318,7 @@ class TestSurrogate:
         R = L1(0.7)
         x = rng.standard_normal(4)
         y = R.initial_subgradient(x)
-        assert surrogate_value(E, R, x, y) == pytest.approx(E.value(x), rel=1e-12)
+        assert surrogate_value(E.value(x), R, x, y) == pytest.approx(E.value(x), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_conjugate_form_equals_bregman_form(self, seed):
@@ -292,7 +329,7 @@ class TestSurrogate:
         v = R.prox(z, 1.0)
         y = z - v  # in dR(v) scaled by alpha... exact prox subgradient at step 1
         x = rng.standard_normal(5)
-        conj_form = surrogate_value(E, R, x, y)
+        conj_form = surrogate_value(E.value(x), R, x, y)
         breg_form = E.value(x) + bregman_distance(R, x, v, y)
         assert conj_form == pytest.approx(breg_form, abs=1e-12)
 
