@@ -28,7 +28,6 @@ from .problems.classify import (
     ClassifierObjective,
     ClassifierProblem,
     init_weights,
-    make_activation,
     nn_forward,
     one_hot,
     synthetic_digits,
@@ -36,7 +35,7 @@ from .problems.classify import (
 from .problems.deconv import BlindDeconvObjective, discrepancy_eta, make_synthetic_deconv
 from .problems.mnist import load_digit_set
 from .problems.mri import ParallelMriObjective, make_synthetic_mri
-from .problems.pgm import write_pgm
+from .problems.pgm import read_pgm, write_pgm
 from .problems.quadratic import random_psd_quadratic
 from .regularizers import (
     L1,
@@ -152,12 +151,27 @@ _SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 _DEFAULT_TAU0 = {"deconv": 2.0, "mri": 0.5, "classifier": 1e-3, "quadratic": 1.0}
 _DEFAULT_ALPHA = {"deconv": 0.05, "mri": 1.0, "classifier": 0.0, "quadratic": 0.0}
 
-# key -> the range check of the object the key configures
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"must be {what}")
+
+
+# key -> range check of value v given the resolved values c; raises ValueError
 _RANGE_CHECKS = {
-    "tau0": lambda v: BacktrackingPolicy(tau0=v),
-    "eps_decrease": lambda v: BacktrackingPolicy(tau0=1.0, eps_decrease=v),
-    "max_iter": lambda v: StoppingRule(max_iter=v),
-    "tv_maxit": lambda v: PdhgConfig(maxit=v),
+    "tau0": lambda v, c: BacktrackingPolicy(tau0=v),
+    "eps_decrease": lambda v, c: BacktrackingPolicy(tau0=1.0, eps_decrease=v),
+    "max_iter": lambda v, c: StoppingRule(max_iter=v),
+    "tv_maxit": lambda v, c: PdhgConfig(maxit=v),
+    **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha_b", "w_low", "w_high", "reg_alpha",
+                     "l_const", "sigma"), lambda v, c: _require(v >= 0, "nonnegative")),
+    **dict.fromkeys(("height", "width", "coils", "train_n", "hidden"),
+                    lambda v, c: _require(v >= 1, "at least 1")),
+    # the MRI phantom and mask need an image side of at least 2
+    "n": lambda v, c: _require(v >= (2 if c["problem"] == "mri" else 1),
+                               "at least 2 for mri and 1 for quadratic"),
+    "kernel_h": lambda v, c: _require(1 <= v <= c["height"], "between 1 and height"),
+    "kernel_w": lambda v, c: _require(1 <= v <= c["width"], "between 1 and width"),
 }
 
 
@@ -165,7 +179,7 @@ def _check_ranges(values: dict, source: str) -> None:
     for key, check in _RANGE_CHECKS.items():
         if values.get(key) is not None:
             try:
-                check(values[key])
+                check(values[key], values)
             except ValueError as exc:
                 raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
 
@@ -423,8 +437,6 @@ def _write_image_snapshot(path: Path, image: np.ndarray) -> None:
 
 def read_image_snapshot(path) -> np.ndarray:
     """Invert ``_write_image_snapshot`` using the sidecar affine map."""
-    from .problems.pgm import read_pgm
-
     pixels, maxval = read_pgm(path)
     lines = Path(str(path) + ".range").read_text().splitlines()
     lo = float(lines[0].split("=")[1])
@@ -450,9 +462,7 @@ def write_log_csv(path, records, extra_columns) -> None:
     cols = BASE_COLUMNS + list(extra_columns)
     lines = [",".join(cols)]
     for rec in records:
-        row = [_fmt(rec.k), _fmt(rec.tau), _fmt(rec.energy), _fmt(rec.surrogate),
-               _fmt(rec.iterate_gap), _fmt(rec.breg_sym), _fmt(rec.r_norm),
-               _fmt(rec.rho2_bound), _fmt(rec.decrease_ok), _fmt(rec.bound_ok)]
+        row = [_fmt(getattr(rec, c)) for c in BASE_COLUMNS]
         row += [_fmt(rec.extras.get(c, float("nan"))) for c in extra_columns]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")

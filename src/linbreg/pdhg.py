@@ -7,34 +7,26 @@ every other proximal map has a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import NotConvergedError
 from .tensor_ops import div2d, grad2d_forward
 
-# spectral norm bound of the forward-difference operator
-GRAD_NORM_SQ = 8.0
+# dual and primal steps: SIGMA * TAU_INNER * ||grad||^2 = 1, with ||grad||^2 <= 8
+# for the forward-difference operator; the extrapolation parameter is 1
+SIGMA = TAU_INNER = 1.0 / np.sqrt(8.0)
 
 
 @dataclass
 class PdhgConfig:
-    """Step sizes and stopping parameters; sigma * tau_inner * ||grad||^2 <= 1 required."""
+    """Stopping parameters: relative gap tolerance and iteration budget."""
 
-    sigma: float = 1.0 / np.sqrt(8.0)
-    tau_inner: float = 1.0 / np.sqrt(8.0)
-    theta: float = 1.0
     tol: float = 1e-7
     maxit: int = 2000
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.tau_inner <= 0:
-            raise ValueError("step sizes must be positive")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("extrapolation parameter must lie in [0, 1]")
-        if self.sigma * self.tau_inner * GRAD_NORM_SQ > 1.0 + 1e-12:
-            raise ValueError("sigma * tau_inner * ||grad||^2 must not exceed 1")
         if self.maxit < 1:
             raise ValueError("maxit must be positive")
 
@@ -47,7 +39,6 @@ class PdhgResult:
     gap: float
     iters: int
     dual: np.ndarray
-    gap_trace: list = field(default_factory=list, repr=False)
 
 
 def _project_ball(p: np.ndarray, lam: float) -> np.ndarray:
@@ -69,7 +60,7 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     lam : float
         Total-variation weight (tau * alpha of the outer iteration).
     cfg : PdhgConfig, optional
-        Steps and stopping parameters.
+        Stopping parameters.
     dual0 : array, shape (2, H, W), optional
         Warm-start dual variable, typically the ``dual`` of the previous call.
 
@@ -104,10 +95,9 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     best_gap = np.inf
     best_u = None
     best_p = None
-    trace = []
 
     for it in range(1, cfg.maxit + 1):
-        p = _project_ball(p + cfg.sigma * grad2d_forward(ubar), lam)
+        p = _project_ball(p + SIGMA * grad2d_forward(ubar), lam)
         div_p = div2d(p)
 
         # gap evaluation costs about as much as an update; check on a schedule
@@ -123,17 +113,15 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
                 best_gap = gap_rel
                 best_u = cand
                 best_p = p.copy()
-            trace.append(best_gap)
 
             if best_gap <= cfg.tol:
-                return PdhgResult(u=best_u, gap=best_gap, iters=it, dual=best_p,
-                                  gap_trace=trace)
+                return PdhgResult(u=best_u, gap=best_gap, iters=it, dual=best_p)
 
-        u_new = (u + cfg.tau_inner * (div_p + z)) / (1.0 + cfg.tau_inner)
-        ubar = u_new + cfg.theta * (u_new - u)
+        u_new = (u + TAU_INNER * (div_p + z)) / (1.0 + TAU_INNER)
+        ubar = u_new + (u_new - u)
         u = u_new
 
-    result = PdhgResult(u=best_u, gap=best_gap, iters=cfg.maxit, dual=best_p, gap_trace=trace)
+    result = PdhgResult(u=best_u, gap=best_gap, iters=cfg.maxit, dual=best_p)
     raise NotConvergedError(
         f"TV prox did not reach gap {cfg.tol:g} in {cfg.maxit} iterations (best {best_gap:g})",
         result=result,

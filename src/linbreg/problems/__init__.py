@@ -6,7 +6,6 @@ from .counterexample import counterexample_run
 from .deconv import (
     BlindDeconvObjective,
     BlindDeconvProblem,
-    blind_deconv_grad,
     discrepancy_eta,
     make_synthetic_deconv,
 )
@@ -37,7 +36,7 @@ from .mnist import (
 __all__ = [
     "LeastSquares", "QuadraticObjective", "random_psd_quadratic",
     "counterexample_run",
-    "BlindDeconvObjective", "BlindDeconvProblem", "blind_deconv_grad",
+    "BlindDeconvObjective", "BlindDeconvProblem",
     "discrepancy_eta", "make_synthetic_deconv",
     "ParallelMriObjective", "ParallelMriProblem", "make_mask",
     "make_synthetic_mri", "mri_energy_grad",

@@ -20,17 +20,6 @@ from ..tensor_ops import (
 )
 
 
-def blind_deconv_grad(u: np.ndarray, h: np.ndarray, f: np.ndarray):
-    """Gradient blocks of 0.5*||u * h - f||^2: (d/du, d/dh)."""
-    u = np.asarray(u, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape != u.shape:
-        raise ValueError(f"data shape {f.shape} != image shape {u.shape}")
-    r = conv2d_periodic(u, h) - f
-    return conv2d_periodic_adjoint(r, h), kernel_gradient(u, r, h.shape)
-
-
 @dataclass
 class BlindDeconvProblem:
     """Observed image, kernel support, and (for synthetic data) the ground truth."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import pdhg
-from .exceptions import UnsupportedOperation
+from .exceptions import NotConvergedError, UnsupportedOperation
 from .tensor_ops import dct2, idct2, svd_thin, total_variation
 
 # Feasibility band used when evaluating indicator-type values and conjugates;
@@ -26,58 +26,6 @@ from .tensor_ops import dct2, idct2, svd_thin, total_variation
 FEAS_TOL = 1e-9
 
 INF = float("inf")
-
-
-# ---------------------------------------------------------------------------
-# elementary proximal maps
-# ---------------------------------------------------------------------------
-
-def prox_l1(z: np.ndarray, lam: float) -> np.ndarray:
-    """Soft thresholding: sign(z) * max(|z| - lam, 0)."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
-    z = np.asarray(z, dtype=np.float64)
-    return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
-
-
-def prox_weighted_l1_dct(z: np.ndarray, lam: float, w: np.ndarray) -> np.ndarray:
-    """Prox of lam * sum_l w_l |(C z)_l| with C the orthonormal 2-D DCT.
-
-    Exact because C is orthonormal: shrink in coefficient space, transform back.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    z = np.asarray(z, dtype=np.float64)
-    coef = dct2(z)
-    return idct2(np.sign(coef) * np.maximum(np.abs(coef) - lam * w, 0.0))
-
-
-def project_simplex(z: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {h : h >= 0, sum h = 1} by sort-and-threshold."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    if z.size < 1:
-        raise ValueError("cannot project an empty vector")
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, z.size + 1)
-    rho = np.nonzero(u - css / j > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(z - theta, 0.0)
-
-
-def prox_nuclear(a: np.ndarray, lam: float) -> np.ndarray:
-    """Singular value soft thresholding: U max(s - lam, 0) V^T."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
-    u, s, v = svd_thin(a)
-    return (u * np.maximum(s - lam, 0.0)) @ v.T
-
-
-def prox_tv(z: np.ndarray, lam: float, tol: float = 1e-7, maxit: int = 2000):
-    """Prox of lam * TV via the primal-dual inner solver; returns its result object."""
-    cfg = pdhg.PdhgConfig(tol=tol, maxit=maxit)
-    return pdhg.pdhg_tv_prox(np.asarray(z, dtype=np.float64), lam, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +145,12 @@ class L1(BregmanFunction):
         return self.alpha * float(np.sum(np.abs(u)))
 
     def prox(self, z, tau):
-        return prox_l1(z, tau * self.alpha)
+        """Soft thresholding: sign(z) * max(|z| - tau * alpha, 0)."""
+        lam = tau * self.alpha
+        if lam < 0:
+            raise ValueError("threshold must be nonnegative")
+        z = np.asarray(z, dtype=np.float64)
+        return np.sign(z) * np.maximum(np.abs(z) - lam, 0.0)
 
     def initial_subgradient(self, u):
         return self.alpha * np.sign(np.asarray(u, dtype=np.float64))
@@ -229,8 +182,11 @@ class WeightedL1Dct(BregmanFunction):
         return self.alpha * float(np.sum(self.weights * np.abs(dct2(self._img(u)))))
 
     def prox(self, z, tau):
+        """Exact because the DCT is orthonormal: shrink the coefficients, transform back."""
         z = np.asarray(z, dtype=np.float64)
-        out = prox_weighted_l1_dct(self._img(z), tau * self.alpha, self.weights)
+        coef = dct2(self._img(z))
+        lam = tau * self.alpha
+        out = idct2(np.sign(coef) * np.maximum(np.abs(coef) - lam * self.weights, 0.0))
         return out.reshape(z.shape)
 
     def initial_subgradient(self, u):
@@ -243,6 +199,19 @@ class WeightedL1Dct(BregmanFunction):
         coef = np.abs(dct2(self._img(q)))
         bound = self.alpha * self.weights + FEAS_TOL * (1.0 + self.alpha * self.weights)
         return 0.0 if np.all(coef <= bound) else INF
+
+
+def project_simplex(z: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {h : h >= 0, sum h = 1} by sort-and-threshold."""
+    z = np.asarray(z, dtype=np.float64).ravel()
+    if z.size < 1:
+        raise ValueError("cannot project an empty vector")
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u) - 1.0
+    j = np.arange(1, z.size + 1)
+    rho = np.nonzero(u - css / j > 0)[0][-1]
+    theta = css[rho] / (rho + 1.0)
+    return np.maximum(z - theta, 0.0)
 
 
 class SimplexIndicator(BregmanFunction):
@@ -310,8 +279,13 @@ class NuclearNorm(BregmanFunction):
         return self.alpha * float(np.sum(np.linalg.svd(self._mat(u), compute_uv=False)))
 
     def prox(self, z, tau):
+        """Singular value soft thresholding: U max(s - tau * alpha, 0) V^T."""
+        lam = tau * self.alpha
+        if lam < 0:
+            raise ValueError("threshold must be nonnegative")
         z = np.asarray(z, dtype=np.float64)
-        return prox_nuclear(self._mat(z), tau * self.alpha).reshape(z.shape)
+        u, s, v = svd_thin(self._mat(z))
+        return ((u * np.maximum(s - lam, 0.0)) @ v.T).reshape(z.shape)
 
     def initial_subgradient(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -367,8 +341,6 @@ class TotalVariation2D(BregmanFunction):
         return self.alpha * total_variation(self._img(u))
 
     def prox(self, z, tau):
-        from .exceptions import NotConvergedError
-
         z = np.asarray(z, dtype=np.float64)
         lam = tau * self.alpha
         dual0 = None

@@ -28,6 +28,8 @@ from .exceptions import NumericsError, StagnationError, UnsupportedOperation
 from .regularizers import BregmanFunction, bregman_distance, symmetric_bregman_distance
 
 NAN = float("nan")
+# backtracking multiplies tau by this factor after every rejected trial
+SHRINK = 0.75
 
 
 class SmoothObjective:
@@ -79,21 +81,18 @@ class StoppingRule:
 
 @dataclass
 class BacktrackingPolicy:
-    """Initial stepsize, shrink factor on failed trials, and the decrease slack.
+    """Initial stepsize and the decrease slack; failed trials shrink tau by ``SHRINK``.
 
     ``eps_decrease=None`` resolves to 1e-12 * max(1, |E(u0)|) at run start;
     ``eps_decrease=inf`` disables backtracking (fixed stepsize).
     """
 
     tau0: float
-    shrink: float = 0.75
     eps_decrease: float | None = None
 
     def __post_init__(self):
         if self.tau0 <= 0:
             raise ValueError("tau0 must be positive")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie strictly between 0 and 1")
         if self.eps_decrease is not None and not self.eps_decrease >= 0:
             raise ValueError("eps_decrease must be nonnegative")
 
@@ -169,7 +168,7 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
 
 def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
               policy: BacktrackingPolicy) -> SolverState:
-    """Retry the step with tau shrunk by ``policy.shrink`` until the energy check holds.
+    """Retry the step with tau shrunk by ``SHRINK`` until the energy check holds.
 
     Accepts the first trial with E(u_next) <= E(u) + eps_decrease; the accepted
     tau is kept for the next iteration.  Rejected trials never advance the dual
@@ -187,7 +186,7 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
             return trial
         if np.isnan(trial.energy):
             raise NumericsError(f"NaN energy at iteration {st.k} with tau = {tau:g}")
-        tau *= policy.shrink
+        tau *= SHRINK
         if tau < 1e-16 * policy.tau0:
             raise StagnationError(
                 f"backtracking stagnated at iteration {st.k}: tau underflow below "
@@ -256,19 +255,17 @@ def check_sufficient_decrease(records, L: float, initial_surrogate: float,
 
 def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
              extras_fn=None) -> MonitorRecord:
-    """Fill a MonitorRecord for an accepted step st_old -> st_new (linbreg only fields
-    degrade to NaN for the baselines, which carry no dual variable)."""
+    """Fill a MonitorRecord for an accepted step st_old -> st_new whose surrogate is set;
+    linbreg only fields degrade to NaN for the baselines, which carry no dual variable."""
     gap = float(np.linalg.norm(np.ravel(st_new.u) - np.ravel(st_old.u)))
 
     if st_new.q is not None:
         breg_sym = symmetric_bregman_distance(R, st_new.u, st_old.u, st_new.q, st_old.q)
         r = surrogate_subgradient(E, R, st_new)
         r_norm = float(np.linalg.norm(r))
-        st_new.surrogate = surrogate_value(st_new.energy, R, st_new.u, st_old.q, base=st_old.u)
     else:
         breg_sym = NAN
         r_norm = NAN
-        st_new.surrogate = NAN
 
     if L is not None and st_new.q is not None:
         rho1 = max(0.0, 1.0 / st_new.tau - L / 2.0)
@@ -324,6 +321,8 @@ def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
     reason = "max_iter"
     for _ in range(stop.max_iter):
         st_new = backtrack(E, R, st, policy)
+        if st_new.q is not None:
+            st_new.surrogate = surrogate_value(st_new.energy, R, st_new.u, st.q, base=st.u)
         tau_min = min(tau_min, st_new.tau)
         records.append(_monitor(E, R, st_new, st, L, tau_min, extras_fn))
         st = st_new

@@ -22,14 +22,9 @@ from linbreg import (
     TotalVariation2D,
     WeightedL1Dct,
     Zero,
-    dct2,
-    idct2,
     initial_state,
     linbreg_step,
-    prox_oracle_check,
     run,
-    surrogate_subgradient,
-    total_variation,
 )
 from linbreg.experiment import (
     apply_overrides,
@@ -54,9 +49,13 @@ from linbreg.problems import (
     synthetic_digits,
 )
 from linbreg.problems.classify import one_hot
+from linbreg.regularizers import symmetric_bregman_distance
+from linbreg.solver import check_sufficient_decrease, surrogate_subgradient
+from linbreg.tensor_ops import dct2, idct2, total_variation
 from linbreg.verify import (
     finite_difference_gradient_check,
     project_simplex_bisection,
+    prox_oracle_check,
     separable_prox_oracle,
     tv_prox_dual_oracle,
 )
@@ -88,8 +87,6 @@ def test_criterion_01_gradient_descent_equivalence():
 
 @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
 def test_criterion_02_sufficient_decrease_audit(kind):
-    from linbreg import check_sufficient_decrease
-
     E, _, result, tau, rho1 = run_instance(kind, 500, seed=10)
     assert tau == pytest.approx(2.0 / (E.lipschitz + 2.0 * rho1), rel=1e-15)
     report = check_sufficient_decrease(result.records, E.lipschitz,
@@ -110,7 +107,6 @@ def test_criterion_03_subgradient_bound_audit(kind):
 @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
 def test_criterion_04_step_identity_audit(kind):
     from instances import make_instance
-    from linbreg import symmetric_bregman_distance
 
     E, R, u0 = make_instance(kind, seed=10)
     tau = 2.0 / (E.lipschitz + 2.0 * (E.lipschitz / 4.0))

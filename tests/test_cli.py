@@ -36,17 +36,36 @@ class TestCheck:
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2
 
 
-# values outside the range of the object each key configures: (config, key)
+# values outside the range of the object or problem each key configures:
+# (test id, config, key)
 OUT_OF_RANGE = [
-    ("problem = quadratic\nn = 6\ntau0 = 0\n", "tau0"),
-    ("problem = quadratic\nn = 6\nmax_iter = -3\n", "max_iter"),
-    ("problem = quadratic\nn = 6\neps_decrease = -1\n", "eps_decrease"),
-    ("problem = deconv\nheight = 8\nwidth = 8\ntv_maxit = 0\n", "tv_maxit"),
+    ("tau0", "problem = quadratic\nn = 6\ntau0 = 0\n", "tau0"),
+    ("max_iter", "problem = quadratic\nn = 6\nmax_iter = -3\n", "max_iter"),
+    ("eps_decrease", "problem = quadratic\nn = 6\neps_decrease = -1\n", "eps_decrease"),
+    ("tv_maxit", "problem = deconv\nheight = 8\nwidth = 8\ntv_maxit = 0\n", "tv_maxit"),
+    # each of these passed check; run then failed with a traceback
+    ("quadratic-n", "problem = quadratic\nn = 0\n", "n"),
+    ("l_const", "problem = quadratic\nn = 6\nl_const = -1\n", "l_const"),
+    ("reg_alpha", "problem = quadratic\nn = 6\nreg_alpha = -1\n", "reg_alpha"),
+    ("height", "problem = deconv\nheight = 0\nwidth = 8\n", "height"),
+    ("kernel_h", "problem = deconv\nheight = 4\nwidth = 4\nkernel_h = 7\n", "kernel_h"),
+    ("mri-n", "problem = mri\nn = 1\n", "n"),
+    ("hidden", "problem = classifier\ntrain_n = 20\nhidden = 0\n", "hidden"),
+    ("alpha1", "problem = classifier\ntrain_n = 20\nhidden = 3\nalpha1 = -1\n", "alpha1"),
+    ("alpha_b", "problem = mri\nn = 8\nalpha_b = -1\n", "alpha_b"),
+    ("w_low", "problem = mri\nn = 8\nw_low = -1\n", "w_low"),
+    # ... or ran to the end on wrong input
+    ("deconv-alpha", "problem = deconv\nheight = 8\nwidth = 8\nalpha = -1\n", "alpha"),
+    ("mri-alpha", "problem = mri\nn = 8\nalpha = -1\n", "alpha"),
+    ("train_n", "problem = classifier\ntrain_n = 0\n", "train_n"),
+    ("coils", "problem = mri\nn = 8\ncoils = 0\n", "coils"),
+    ("sigma", "problem = deconv\nheight = 8\nwidth = 8\nsigma = -1\n", "sigma"),
 ]
 
 
 class TestOutOfRange:
-    @pytest.mark.parametrize("text, key", OUT_OF_RANGE, ids=[k for _, k in OUT_OF_RANGE])
+    @pytest.mark.parametrize("text, key", [(t, k) for _, t, k in OUT_OF_RANGE],
+                             ids=[i for i, _, _ in OUT_OF_RANGE])
     def test_check_exit_code_2(self, tmp_path, capsys, text, key):
         cfg = write_cfg(tmp_path, text)
         assert main(["check", cfg]) == 2
@@ -54,9 +73,9 @@ class TestOutOfRange:
         assert "config error" in err and repr(key) in err
 
     @pytest.mark.parametrize("text, flags, key",
-                             [(t, [], k) for t, k in OUT_OF_RANGE]
+                             [(t, [], k) for _, t, k in OUT_OF_RANGE]
                              + [("problem = quadratic\nn = 6\n", ["--max-iter", "-2"], "max_iter")],
-                             ids=[k for _, k in OUT_OF_RANGE] + ["--max-iter"])
+                             ids=[i for i, _, _ in OUT_OF_RANGE] + ["--max-iter"])
     def test_run_exit_code_2(self, tmp_path, capsys, text, flags, key):
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "out"
@@ -64,6 +83,17 @@ class TestOutOfRange:
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "problem = mri\nn = 2\ncoils = 1\n",
+        "problem = deconv\nheight = 1\nwidth = 8\nkernel_h = 1\n",
+        "problem = deconv\nheight = 3\nwidth = 5\nalpha = 0\n",
+        "problem = quadratic\nn = 1\nl_const = 0\nreg_alpha = 0\n",
+        "problem = classifier\ntrain_n = 1\nhidden = 1\n",
+    ], ids=["mri", "deconv", "deconv-full-kernel", "quadratic", "classifier"])
+    def test_smallest_values_run(self, tmp_path, text):
+        cfg = write_cfg(tmp_path, text + "max_iter = 2\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestRun:

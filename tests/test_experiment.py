@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linbreg import ConfigError, project_simplex
+from linbreg import ConfigError
 from linbreg.experiment import (
     apply_overrides,
     parse_config_text,
@@ -12,6 +12,7 @@ from linbreg.experiment import (
 )
 from linbreg.problems import init_weights, nn_forward, synthetic_digits
 from linbreg.problems.classify import make_activation, one_hot
+from linbreg.regularizers import project_simplex
 
 
 QUAD_CFG = """

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linbreg import finite_difference_gradient_check
+from linbreg.verify import finite_difference_gradient_check
 from linbreg.problems import (
     ClassifierObjective,
     ClassifierProblem,

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from linbreg import conv2d_periodic, finite_difference_gradient_check, total_variation
 from linbreg.problems import (
     BlindDeconvObjective,
-    blind_deconv_grad,
     discrepancy_eta,
     make_synthetic_deconv,
 )
+from linbreg.tensor_ops import conv2d_periodic, total_variation
+from linbreg.verify import finite_difference_gradient_check
+
+
+def blind_deconv_grad(u, h, f):
+    """Gradient blocks (d/du, d/dh) of 0.5*||u * h - f||^2, from the stacked objective."""
+    E = BlindDeconvObjective(f, np.shape(h))
+    return E.split(E.value_and_grad(E.pack(u, h))[1])
 
 
 class TestBlindDeconvGrad:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from linbreg import dft2, finite_difference_gradient_check, idft2
+from linbreg.tensor_ops import dft2, idft2
+from linbreg.verify import finite_difference_gradient_check
 from linbreg.problems import (
     ParallelMriObjective,
     make_mask,

@@ -12,15 +12,15 @@ from linbreg import (
     UnsupportedOperation,
     WeightedL1Dct,
     Zero,
+)
+from linbreg.pdhg import PdhgConfig, pdhg_tv_prox
+from linbreg.regularizers import (
     bregman_distance,
-    dct2,
     fenchel_residual,
     project_simplex,
-    prox_l1,
-    prox_nuclear,
-    prox_weighted_l1_dct,
     symmetric_bregman_distance,
 )
+from linbreg.tensor_ops import dct2
 from linbreg.verify import separable_prox_oracle
 
 
@@ -114,14 +114,14 @@ class TestFenchelResidual:
 class TestProxL1:
     def test_lambda_zero_identity(self):
         z = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(prox_l1(z, 0.0), z)
+        assert np.array_equal(L1(1.0).prox(z, 0.0), z)
 
     def test_analytic_shrinkage(self):
-        assert np.allclose(prox_l1(np.array([2.0, -0.5, 0.0]), 1.0), [1.0, 0.0, 0.0])
+        assert np.allclose(L1(1.0).prox(np.array([2.0, -0.5, 0.0]), 1.0), [1.0, 0.0, 0.0])
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            prox_l1(np.zeros(2), -0.1)
+            L1(1.0).prox(np.zeros(2), -0.1)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_scalar_search_oracle(self, seed):
@@ -131,7 +131,7 @@ class TestProxL1:
         z = 2.0 * rng.standard_normal(6)
         tau = rng.uniform(0.2, 2.0)
         oracle = separable_prox_oracle(abs, z, tau)
-        got = prox_l1(z, tau)
+        got = L1(1.0).prox(z, tau)
 
         def phi(u):
             return 0.5 * np.sum((u - z) ** 2) + tau * np.sum(np.abs(u))
@@ -144,17 +144,17 @@ class TestProxWeightedL1Dct:
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((4, 4))
-        assert np.abs(prox_weighted_l1_dct(z, 1.0, np.zeros((4, 4))) - z).max() < 1e-13
+        assert np.abs(WeightedL1Dct(1.0, np.zeros((4, 4)), (4, 4)).prox(z, 1.0) - z).max() < 1e-13
 
     def test_constant_image_with_free_dc(self):
         z = np.full((4, 4), 2.0)
         w = np.full((4, 4), 1e6)
         w[0, 0] = 0.0
-        assert np.abs(prox_weighted_l1_dct(z, 1.0, w) - z).max() < 1e-12
+        assert np.abs(WeightedL1Dct(1.0, w, (4, 4)).prox(z, 1.0) - z).max() < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            prox_weighted_l1_dct(np.zeros((2, 2)), 1.0, -np.ones((2, 2)))
+            WeightedL1Dct(1.0, -np.ones((2, 2)), (2, 2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_coefficient_space_oracle(self, seed):
@@ -162,7 +162,7 @@ class TestProxWeightedL1Dct:
         z = rng.standard_normal((4, 4))
         w = rng.uniform(0.0, 2.0, size=(4, 4))
         lam = rng.uniform(0.1, 1.0)
-        out = prox_weighted_l1_dct(z, lam, w)
+        out = WeightedL1Dct(lam, w, (4, 4)).prox(z, 1.0)
         # solve per DCT coefficient with golden-section search, compare objectives
         zc = dct2(z).ravel()
         wf = w.ravel()
@@ -180,30 +180,28 @@ class TestProxWeightedL1Dct:
 
 class TestProxTvFunction:
     def test_lambda_zero_identity(self):
-        from linbreg import prox_tv
-
         rng = np.random.default_rng(0)
         z = rng.standard_normal((4, 4))
-        res = prox_tv(z, 0.0)
+        res = pdhg_tv_prox(z, 0.0, PdhgConfig())
         assert np.array_equal(res.u, z)
         assert res.gap == 0.0
 
     def test_delegates_to_inner_solver_with_gap(self):
-        from linbreg import prox_tv, total_variation
+        from linbreg.tensor_ops import total_variation
 
         z = np.array([[0.0, 0.0, 4.0, 4.0, 0.0, 0.0]])
-        res = prox_tv(z, 1.0, tol=1e-8, maxit=50000)
+        res = pdhg_tv_prox(z, 1.0, PdhgConfig(tol=1e-8, maxit=50000))
         assert res.gap <= 1e-8
         # prox objective must not exceed the argument's own objective
         assert (0.5 * np.sum((res.u - z) ** 2) + total_variation(res.u)
                 <= total_variation(z) + 1e-12)
 
     def test_strict_budget_error(self):
-        from linbreg import NotConvergedError, prox_tv
+        from linbreg import NotConvergedError
 
         rng = np.random.default_rng(1)
         with pytest.raises(NotConvergedError):
-            prox_tv(rng.standard_normal((8, 8)), 0.5, tol=1e-14, maxit=10)
+            pdhg_tv_prox(rng.standard_normal((8, 8)), 0.5, PdhgConfig(tol=1e-14, maxit=10))
 
 
 class TestProjectSimplex:
@@ -240,19 +238,19 @@ class TestProjectSimplex:
 
 class TestProxNuclear:
     def test_diagonal_svt(self):
-        out = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
+        out = NuclearNorm(2.0, (2, 2)).prox(np.diag([3.0, 1.0]), 1.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_lambda_zero(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 3))
-        assert np.abs(prox_nuclear(a, 0.0) - a).max() < 1e-10
+        assert np.abs(NuclearNorm(0.0, (4, 3)).prox(a, 1.0) - a).max() < 1e-10
 
     def test_local_optimality_sampling(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 3))
         lam = 0.7
-        out = prox_nuclear(a, lam)
+        out = NuclearNorm(lam, (4, 3)).prox(a, 1.0)
 
         def objective(x):
             return 0.5 * np.sum((x - a) ** 2) + lam * np.sum(
@@ -363,7 +361,7 @@ class TestComposeSeparable:
         rng = np.random.default_rng(8)
         z = rng.standard_normal(6)
         out = S.prox(z, 0.5)
-        assert np.allclose(out[:3], prox_l1(z[:3], 0.5))
+        assert np.allclose(out[:3], L1(1.0).prox(z[:3], 0.5))
         assert np.allclose(out[3:], project_simplex(z[3:]))
 
     def test_bad_partition_rejected(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linbreg import (
+from linbreg.tensor_ops import (
     as_tensor,
     conv2d_periodic,
     conv2d_periodic_adjoint,

@@ -7,13 +7,16 @@ from linbreg import (
     SimplexIndicator,
     TotalVariation2D,
     WeightedL1Dct,
-    finite_difference_gradient_check,
-    prox_oracle_check,
-    total_variation,
 )
 from linbreg.problems import LeastSquares
 from linbreg.solver import SmoothObjective
-from linbreg.verify import project_simplex_bisection, tv_prox_dual_oracle
+from linbreg.tensor_ops import total_variation
+from linbreg.verify import (
+    finite_difference_gradient_check,
+    project_simplex_bisection,
+    prox_oracle_check,
+    tv_prox_dual_oracle,
+)
 
 
 class LinearObjective(SmoothObjective):
