@@ -25,6 +25,8 @@ import numpy as np
 from .exceptions import ConfigError
 from .pdhg import PdhgConfig
 from .problems.classify import (
+    ACTIVATION_KINDS,
+    LOSS_KINDS,
     ClassifierObjective,
     ClassifierProblem,
     init_weights,
@@ -34,7 +36,7 @@ from .problems.classify import (
 )
 from .problems.deconv import BlindDeconvObjective, discrepancy_eta, make_synthetic_deconv
 from .problems.mnist import load_digit_set
-from .problems.mri import ParallelMriObjective, make_synthetic_mri
+from .problems.mri import MASK_KINDS, ParallelMriObjective, make_synthetic_mri
 from .problems.pgm import read_pgm, write_pgm
 from .problems.quadratic import random_psd_quadratic
 from .regularizers import (
@@ -147,6 +149,7 @@ _KEYS = {
 
 _PROBLEMS = ("deconv", "mri", "classifier", "quadratic")
 _SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
+_QUADRATIC_REGS = ("l1", "none")
 
 _DEFAULT_TAU0 = {"deconv": 2.0, "mri": 0.5, "classifier": 1e-3, "quadratic": 1.0}
 _DEFAULT_ALPHA = {"deconv": 0.05, "mri": 1.0, "classifier": 0.0, "quadratic": 0.0}
@@ -157,6 +160,10 @@ def _require(ok: bool, what: str) -> None:
         raise ValueError(f"must be {what}")
 
 
+def _choice(names):
+    return lambda v, c: _require(v in names, f"one of {names}")
+
+
 # key -> range check of value v given the resolved values c; raises ValueError
 _RANGE_CHECKS = {
     "tau0": lambda v, c: BacktrackingPolicy(tau0=v),
@@ -164,7 +171,8 @@ _RANGE_CHECKS = {
     "max_iter": lambda v, c: StoppingRule(max_iter=v),
     "tv_maxit": lambda v, c: PdhgConfig(maxit=v),
     **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha_b", "w_low", "w_high", "reg_alpha",
-                     "l_const", "sigma"), lambda v, c: _require(v >= 0, "nonnegative")),
+                     "l_const", "sigma", "epsilon", "tv_tol", "iterate_gap_tol"),
+                    lambda v, c: _require(v >= 0, "nonnegative")),
     **dict.fromkeys(("height", "width", "coils", "train_n", "hidden"),
                     lambda v, c: _require(v >= 1, "at least 1")),
     # the MRI phantom and mask need an image side of at least 2
@@ -172,6 +180,19 @@ _RANGE_CHECKS = {
                                "at least 2 for mri and 1 for quadratic"),
     "kernel_h": lambda v, c: _require(1 <= v <= c["height"], "between 1 and height"),
     "kernel_w": lambda v, c: _require(1 <= v <= c["width"], "between 1 and width"),
+    "mask_p": lambda v, c: _require(0 <= v <= 1, "between 0 and 1"),
+    "beta": lambda v, c: _require(v > 0, "positive"),
+    "snapshots": lambda v, c: _require(all(k >= 1 for k in v), "iterations of at least 1"),
+    "activation": _choice(ACTIVATION_KINDS),
+    "mask": _choice(MASK_KINDS),
+    "reg": _choice(_QUADRATIC_REGS),
+    "loss": _choice(LOSS_KINDS),
+    # the shifted KL losses take logarithms of X + loss_eps and Y + loss_eps
+    "loss_eps": lambda v, c: _require(v > 0 or c["loss"] == "frobenius",
+                                      "positive for the kl losses"),
+    # one file without the other would silently train on synthetic digits
+    "data_images": lambda v, c: _require(bool(v) == bool(c["data_labels"]),
+                                         "given together with 'data_labels'"),
 }
 
 
@@ -280,35 +301,44 @@ class _Built:
     snapshot_fn: object
 
 
+def _image_part(cfg: ExperimentConfig, shape):
+    """TV with weight ``alpha`` on one image block, or Zero when alpha is 0.
+
+    Budget-mode inner solves: an exhausted budget returns the best iterate,
+    and the warm-started dual, kept on the instance, improves across outer
+    iterations; so every block needs its own call.
+    """
+    if cfg["alpha"] > 0:
+        tv_cfg = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
+        return TotalVariation2D(cfg["alpha"], shape, config=tv_cfg, strict=False)
+    return Zero()
+
+
+def _image_hooks(image_of):
+    """The ``tv_value`` column, its extras hook and PGM snapshots of the image ``image_of(st)``."""
+
+    def extras_fn(st):
+        return {"tv_value": total_variation(image_of(st))}
+
+    def snapshot_fn(st, directory: Path):
+        _write_image_snapshot(directory / f"iter_{st.k}.pgm", image_of(st))
+
+    return ["tv_value"], extras_fn, snapshot_fn
+
+
 def _build_deconv(cfg: ExperimentConfig) -> _Built:
     H, W = cfg["height"], cfg["width"]
     prob = make_synthetic_deconv(cfg["seed"], H, W,
                                  kernel_shape=(cfg["kernel_h"], cfg["kernel_w"]),
                                  sigma=cfg["sigma"])
     E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-    alpha = cfg["alpha"]
-    tv_cfg = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
-    # budget-mode inner solves: exhausted budgets return the best iterate, and
-    # the warm-started dual keeps improving across outer iterations
-    image_part = (TotalVariation2D(alpha, (H, W), config=tv_cfg, strict=False)
-                  if alpha > 0 else Zero())
-    image, kernel = (0, E.n_image), (E.n_image, E.size)
     R = SeparableSum([
-        (image_part, image),
-        (SimplexIndicator(), kernel, cfg["kernel_memory"]),
+        (_image_part(cfg, (H, W)), E.n_image),
+        (SimplexIndicator(), E.n_kernel, cfg["kernel_memory"]),
     ])
-    constraint = SeparableSum([(Zero(), image), (SimplexIndicator(), kernel)])
+    constraint = SeparableSum([(Zero(), E.n_image), (SimplexIndicator(), E.n_kernel)])
     u0 = E.pack(np.zeros((H, W)), np.full(prob.kernel_shape, 1.0 / E.n_kernel))
-
-    def extras_fn(st):
-        u, _ = E.split(st.u)
-        return {"tv_value": total_variation(u)}
-
-    def snapshot_fn(st, directory: Path):
-        u, _ = E.split(st.u)
-        _write_image_snapshot(directory / f"iter_{st.k}.pgm", u)
-
-    return _Built(E, R, constraint, u0, ["tv_value"], extras_fn, snapshot_fn)
+    return _Built(E, R, constraint, u0, *_image_hooks(lambda st: E.split(st.u)[0]))
 
 
 def _build_mri(cfg: ExperimentConfig) -> _Built:
@@ -319,37 +349,23 @@ def _build_mri(cfg: ExperimentConfig) -> _Built:
     E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
     w = np.full((N, N), cfg["w_high"])
     w[:2, :2] = cfg["w_low"]
-    tv_cfg = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
-    n = N * N
-    parts = []
-    for chan in range(2):  # real and imaginary parts of u
-        part = (TotalVariation2D(cfg["alpha"], (N, N), config=tv_cfg, strict=False)
-                if cfg["alpha"] > 0 else Zero())
-        parts.append((part, (chan * n, (chan + 1) * n)))
-    at = 2 * n
-    for _ in range(cfg["coils"]):
-        for _chan in range(2):
-            parts.append((WeightedL1Dct(cfg["alpha_b"], w, (N, N)), (at, at + n)))
-            at += n
-    R = SeparableSum(parts)
+    # real and imaginary parts of u, then of each coil map
+    R = SeparableSum([(_image_part(cfg, (N, N)), N * N) for _ in range(2)]
+                     + [(WeightedL1Dct(cfg["alpha_b"], w, (N, N)), N * N)
+                        for _ in range(2 * cfg["coils"])])
     u0 = E.pack(np.full((N, N), 2.0 + 0.0j),
                 [np.ones((N, N), dtype=np.complex128) for _ in range(cfg["coils"])])
-
-    def extras_fn(st):
-        u, _ = E.split(st.u)
-        return {"tv_value": total_variation(np.abs(u))}
-
-    def snapshot_fn(st, directory: Path):
-        u, _ = E.split(st.u)
-        _write_image_snapshot(directory / f"iter_{st.k}.pgm", np.abs(u))
-
-    return _Built(E, R, Zero(), u0, ["tv_value"], extras_fn, snapshot_fn)
+    return _Built(E, R, Zero(), u0, *_image_hooks(lambda st: np.abs(E.split(st.u)[0])))
 
 
 def _build_classifier(cfg: ExperimentConfig) -> _Built:
-    if cfg["data_images"] and cfg["data_labels"]:
-        D, labels = load_digit_set(cfg["data_images"], cfg["data_labels"],
-                                   limit=cfg["train_n"])
+    if cfg["data_images"]:
+        try:
+            D, labels = load_digit_set(cfg["data_images"], cfg["data_labels"],
+                                       limit=cfg["train_n"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{cfg.source}: cannot load 'data_images' and 'data_labels': "
+                              f"{exc}") from exc
     else:
         D, labels = synthetic_digits(cfg["seed"], cfg["train_n"])
     Y = one_hot(labels)
@@ -362,13 +378,8 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
     )
     E = ClassifierObjective(prob)
     alphas = [cfg["alpha1"], cfg["alpha2"]]
-    parts = []
-    at = 0
-    for shape, a in zip(shapes, alphas):
-        size = shape[0] * shape[1]
-        parts.append((NuclearNorm(a, shape), (at, at + size)))
-        at += size
-    R = SeparableSum(parts)
+    R = SeparableSum([(NuclearNorm(a, shape), size)
+                      for shape, size, a in zip(shapes, E.sizes, alphas)])
     u0 = E.pack(init_weights(shapes, cfg["seed"]))
     extra_cols = [f"rank_A{j + 1}" for j in range(len(shapes))] + ["prediction_rate"]
 
@@ -387,12 +398,7 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
 
 def _build_quadratic(cfg: ExperimentConfig) -> _Built:
     E = random_psd_quadratic(cfg["seed"], cfg["n"], L=cfg["l_const"])
-    if cfg["reg"] == "l1":
-        R = L1(cfg["reg_alpha"])
-    elif cfg["reg"] == "none":
-        R = Zero()
-    else:
-        raise ConfigError(f"quadratic driver supports reg in ('l1', 'none'), got {cfg['reg']!r}")
+    R = L1(cfg["reg_alpha"]) if cfg["reg"] == "l1" else Zero()
     u0 = np.zeros(cfg["n"])
 
     def snapshot_fn(st, directory: Path):
@@ -470,11 +476,10 @@ def write_log_csv(path, records, extra_columns) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunLog:
     """Execute a resolved config and write log, snapshots, summary and resolved config."""
+    built = build_experiment(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     snap_dir = out / "snapshots"
-
-    built = build_experiment(cfg)
     st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
     policy = BacktrackingPolicy(tau0=cfg["tau0"], eps_decrease=cfg["eps_decrease"])
     eta = cfg["discrepancy_eta"]

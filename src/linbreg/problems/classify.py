@@ -78,6 +78,9 @@ class SoftMax(Activation):
         return s * (g - np.sum(s * g, axis=0, keepdims=True))
 
 
+ACTIVATION_KINDS = ("rectifier", "smooth-max", "soft-max")
+
+
 def make_activation(kind: str, beta: float = 5.0, c: float = 0.0) -> Activation:
     if kind == "rectifier":
         return Rectifier()
@@ -91,6 +94,9 @@ def make_activation(kind: str, beta: float = 5.0, c: float = 0.0) -> Activation:
 # ---------------------------------------------------------------------------
 # losses: value and derivative with respect to the network output
 # ---------------------------------------------------------------------------
+
+LOSS_KINDS = ("frobenius", "kl", "kl-sym")
+
 
 def loss_value_grad(kind: str, X: np.ndarray, Y: np.ndarray, eps: float = 0.0):
     """Misfit D(X, Y) and dD/dX for the supported loss kinds.
@@ -121,15 +127,23 @@ def loss_value_grad(kind: str, X: np.ndarray, Y: np.ndarray, eps: float = 0.0):
 # network forward / backward
 # ---------------------------------------------------------------------------
 
-def nn_forward(As, D: np.ndarray, activation: Activation) -> np.ndarray:
-    """Network output rho_1(A_1 rho_2(A_2 ... rho_l(A_l D)))."""
+def _forward(As, D: np.ndarray, activation: Activation):
+    """Network output, and each layer's (input, pre-activation) in the order of As."""
     T = np.asarray(D, dtype=np.float64)
+    layers = []
     for A in reversed(As):
         A = np.asarray(A, dtype=np.float64)
         if A.shape[1] != T.shape[0]:
             raise ValueError(f"layer shape {A.shape} does not accept input of height {T.shape[0]}")
-        T = activation.value(A @ T)
-    return T
+        Z = A @ T
+        layers.append((T, Z))
+        T = activation.value(Z)
+    return T, layers[::-1]
+
+
+def nn_forward(As, D: np.ndarray, activation: Activation) -> np.ndarray:
+    """Network output rho_1(A_1 rho_2(A_2 ... rho_l(A_l D)))."""
+    return _forward(As, D, activation)[0]
 
 
 def nn_energy_grad(As, D: np.ndarray, Y: np.ndarray, activation: Activation,
@@ -140,29 +154,16 @@ def nn_energy_grad(As, D: np.ndarray, Y: np.ndarray, activation: Activation,
     Energy = loss(network(D), Y) + (eps/2) * sum_j ||A_j||_F^2.
     """
     As = [np.asarray(A, dtype=np.float64) for A in As]
-    D = np.asarray(D, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-
-    inputs = []   # input fed to layer j (same order as As)
-    pres = []     # pre-activation A_j @ input
-    T = D
-    for A in reversed(As):
-        if A.shape[1] != T.shape[0]:
-            raise ValueError(f"layer shape {A.shape} does not accept input of height {T.shape[0]}")
-        Z = A @ T
-        inputs.append(T)
-        pres.append(Z)
-        T = activation.value(Z)
-    inputs.reverse()
-    pres.reverse()
+    T, layers = _forward(As, D, activation)
     if T.shape != Y.shape:
         raise ValueError(f"network output {T.shape} does not match labels {Y.shape}")
 
     value, G = loss_value_grad(loss_kind, T, Y, eps=loss_eps)
-    grads = [None] * len(As)
-    for j, A in enumerate(As):
-        Gz = activation.backprop(pres[j], G)
-        grads[j] = Gz @ inputs[j].T + eps * A
+    grads = []
+    for A, (T_in, Z) in zip(As, layers):
+        Gz = activation.backprop(Z, G)
+        grads.append(Gz @ T_in.T + eps * A)
         G = A.T @ Gz
         value += 0.5 * eps * float(np.sum(A * A))
     return value, grads

@@ -67,6 +67,9 @@ def spiral_mask(N: int, turns: float = 4.0, samples_per_turn: int = 2400) -> np.
     return np.fft.ifftshift(centred).astype(np.float64)
 
 
+MASK_KINDS = ("full", "spiral", "random")
+
+
 def make_mask(kind: str, N: int, p: float = 0.5, seed: int = 0) -> np.ndarray:
     """Sampling mask of the requested kind: full, spiral, or random-p Bernoulli."""
     if kind == "full":

@@ -43,7 +43,7 @@ def bregman_distance(R: "BregmanFunction", u: np.ndarray, v: np.ndarray, q: np.n
     return float(ru - rv - np.vdot(np.ravel(q), np.ravel(u) - np.ravel(v)).real)
 
 
-def symmetric_bregman_distance(R, u, v, p, q) -> float:
+def symmetric_bregman_distance(u, v, p, q) -> float:
     """Symmetric Bregman distance <p - q, u - v> for p in dR(u), q in dR(v)."""
     du = np.ravel(u) - np.ravel(v)
     dq = np.ravel(p) - np.ravel(q)
@@ -66,11 +66,14 @@ def fenchel_residual(R: "BregmanFunction", u: np.ndarray, q: np.ndarray) -> floa
 class BregmanFunction:
     """Proper, lower semi-continuous, convex function with a proximal map."""
 
-    #: whether ``conjugate_value`` is implemented
-    has_conjugate = False
     #: 0/1 per-entry mask the solver multiplies into each new dual iterate;
     #: None keeps the full Bregman memory everywhere
     memory_mask = None
+
+    @property
+    def has_conjugate(self) -> bool:
+        """Whether ``conjugate_value`` is implemented: the class overrides it."""
+        return type(self).conjugate_value is not BregmanFunction.conjugate_value
 
     def value(self, u) -> float:
         raise NotImplementedError
@@ -89,8 +92,6 @@ class BregmanFunction:
 class Zero(BregmanFunction):
     """R = 0; the linearised Bregman iteration degenerates to gradient descent."""
 
-    has_conjugate = True
-
     def value(self, u):
         return 0.0
 
@@ -108,8 +109,6 @@ class Zero(BregmanFunction):
 
 class SquaredL2(BregmanFunction):
     """R(u) = (alpha/2) ||u||^2."""
-
-    has_conjugate = True
 
     def __init__(self, alpha: float = 1.0):
         if alpha <= 0:
@@ -133,8 +132,6 @@ class SquaredL2(BregmanFunction):
 
 class L1(BregmanFunction):
     """R(u) = alpha ||u||_1."""
-
-    has_conjugate = True
 
     def __init__(self, alpha: float = 1.0):
         if alpha < 0:
@@ -162,8 +159,6 @@ class L1(BregmanFunction):
 
 class WeightedL1Dct(BregmanFunction):
     """R(u) = alpha * sum_l w_l |(C u)_l| with orthonormal 2-D DCT coefficients."""
-
-    has_conjugate = True
 
     def __init__(self, alpha: float, weights, shape):
         if alpha < 0:
@@ -217,8 +212,6 @@ def project_simplex(z: np.ndarray) -> np.ndarray:
 class SimplexIndicator(BregmanFunction):
     """Indicator of the probability simplex {h >= 0, sum h = 1}."""
 
-    has_conjugate = True
-
     def _feasible(self, u):
         u = np.ravel(u)
         tol = FEAS_TOL * (1.0 + np.sqrt(u.size))
@@ -244,8 +237,6 @@ class SimplexIndicator(BregmanFunction):
 class NonnegativeIndicator(BregmanFunction):
     """Indicator of the nonnegative orthant {u >= 0}."""
 
-    has_conjugate = True
-
     def value(self, u):
         return 0.0 if float(np.min(np.ravel(u), initial=0.0)) >= -FEAS_TOL else INF
 
@@ -263,8 +254,6 @@ class NonnegativeIndicator(BregmanFunction):
 
 class NuclearNorm(BregmanFunction):
     """R(A) = alpha * sum of singular values, on matrices of a fixed shape."""
-
-    has_conjugate = True
 
     def __init__(self, alpha: float, shape):
         if alpha < 0:
@@ -321,8 +310,6 @@ class TotalVariation2D(BregmanFunction):
     the new iterate, and epsilon is not recorded.
     """
 
-    has_conjugate = False
-
     def __init__(self, alpha: float, shape, config: pdhg.PdhgConfig | None = None,
                  strict: bool = True):
         if alpha < 0:
@@ -372,38 +359,35 @@ class TotalVariation2D(BregmanFunction):
 
 
 class SeparableSum(BregmanFunction):
-    """Block-separable sum R(u) = sum_i R_i(u[range_i]) over a partition of indices.
+    """Block-separable sum R(u) = sum_i R_i(u_i) over consecutive blocks u_i of u.
 
-    A part is ``(R_i, (start, stop))`` or ``(R_i, (start, stop), memory)``.  With
-    ``memory=False`` the solver zeroes the block's dual variable after every
-    step, so the block takes proximal-gradient steps while the others keep
-    their Bregman memory.  Meant for indicators, where 0 is a subgradient at
-    every feasible point and the certificates stay valid.
+    A part is ``(R_i, size)`` or ``(R_i, size, memory)``; the blocks follow
+    each other in list order.  With ``memory=False`` the solver zeroes the
+    block's dual variable after every step, so the block takes
+    proximal-gradient steps while the others keep their Bregman memory.  Meant
+    for indicators, where 0 is a subgradient at every feasible point and the
+    certificates stay valid.
     """
 
     def __init__(self, parts):
-        spans = []
-        for R, span, *memory in parts:
-            start, stop = int(span[0]), int(span[1])
-            if stop <= start:
-                raise ValueError(f"empty block ({start}, {stop})")
-            spans.append((R, start, stop, memory[0] if memory else True))
-        spans.sort(key=lambda t: t[1])
-        cursor = 0
-        for _, start, stop, _ in spans:
-            if start != cursor:
-                raise ValueError("block ranges must partition the variable without gaps or overlap")
-            cursor = stop
-        self.parts = [(R, start, stop) for R, start, stop, _ in spans]
-        self.size = cursor
-        self.has_conjugate = all(R.has_conjugate for R, _, _ in self.parts)
-        mask = np.ones(cursor)
-        for R, start, stop, memory in spans:
-            if not memory:
-                mask[start:stop] = 0.0
-            elif R.memory_mask is not None:
-                mask[start:stop] = np.ravel(R.memory_mask)
+        self.parts = []
+        self.size = 0
+        mask = []
+        for R, size, *memory in parts:
+            if size < 1:
+                raise ValueError(f"block size must be at least 1, got {size}")
+            self.parts.append((R, self.size, self.size + size))
+            self.size += size
+            if memory and not memory[0]:
+                mask.append(np.zeros(size))
+            else:
+                mask.append(np.ones(size) if R.memory_mask is None else np.ravel(R.memory_mask))
+        mask = np.concatenate(mask)
         self.memory_mask = None if mask.all() else mask
+
+    @property
+    def has_conjugate(self) -> bool:
+        return all(R.has_conjugate for R, _, _ in self.parts)
 
     def _flat(self, u):
         u = np.ravel(np.asarray(u, dtype=np.float64))

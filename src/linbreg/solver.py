@@ -59,8 +59,6 @@ class SolverState:
     q: np.ndarray | None
     tau: float
     k: int = 0
-    u_prev: np.ndarray | None = None
-    q_prev: np.ndarray | None = None
     energy: float = NAN
     surrogate: float = NAN
     grad: np.ndarray | None = None
@@ -161,7 +159,6 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
     e_new, g_new = E.value_and_grad(u_new)
     return SolverState(
         u=u_new, q=q_new, tau=st.tau, k=st.k + 1,
-        u_prev=st.u, q_prev=st.q,
         energy=float(e_new), grad=np.asarray(g_new, dtype=np.float64),
     )
 
@@ -211,13 +208,14 @@ def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None) -> float
     return ex + bregman_distance(R, x, base, y)
 
 
-def surrogate_subgradient(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> np.ndarray:
+def surrogate_subgradient(E: SmoothObjective, st: SolverState,
+                          prev: SolverState | None) -> np.ndarray:
     """The canonical subgradient of F at s^k: (grad E(u^k) + q^k - q^{k-1}, u^{k-1} - u^k)."""
-    if st.u_prev is None or st.q_prev is None or st.q is None:
-        raise ValueError("surrogate subgradient needs two consecutive states (k >= 1)")
+    if prev is None or prev.q is None or st.q is None:
+        raise ValueError("surrogate subgradient needs two consecutive states with a dual variable")
     g = _checked_grad(E, st)
-    top = np.ravel(g) + np.ravel(st.q) - np.ravel(st.q_prev)
-    bottom = np.ravel(st.u_prev) - np.ravel(st.u)
+    top = np.ravel(g) + np.ravel(st.q) - np.ravel(prev.q)
+    bottom = np.ravel(prev.u) - np.ravel(st.u)
     return np.concatenate([top, bottom])
 
 
@@ -260,8 +258,8 @@ def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
     gap = float(np.linalg.norm(np.ravel(st_new.u) - np.ravel(st_old.u)))
 
     if st_new.q is not None:
-        breg_sym = symmetric_bregman_distance(R, st_new.u, st_old.u, st_new.q, st_old.q)
-        r = surrogate_subgradient(E, R, st_new)
+        breg_sym = symmetric_bregman_distance(st_new.u, st_old.u, st_new.q, st_old.q)
+        r = surrogate_subgradient(E, st_new, st_old)
         r_norm = float(np.linalg.norm(r))
     else:
         breg_sym = NAN

@@ -116,7 +116,7 @@ def test_criterion_04_step_identity_audit(kind):
         delta = st_new.u - st.u
         lhs = -float(E.grad(st.u) @ delta)
         rhs = float(delta @ delta) / tau + symmetric_bregman_distance(
-            R, st_new.u, st.u, st_new.q, st.q)
+            st_new.u, st.u, st_new.q, st.q)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
         st = st_new
 
@@ -273,8 +273,8 @@ def _deconv_setup(sigma=0.0, seed=0, N=32):
 def _bregman_deconv_regularizer(alpha, N):
     tv = TotalVariation2D(alpha, (N, N), config=PdhgConfig(tol=1e-8, maxit=400),
                           strict=False)
-    parts = [(tv, (0, N * N))] if alpha > 0 else [(Zero(), (0, N * N))]
-    parts.append((SimplexIndicator(), (N * N, N * N + 15), False))
+    parts = [(tv, N * N)] if alpha > 0 else [(Zero(), N * N)]
+    parts.append((SimplexIndicator(), 15, False))
     return SeparableSum(parts)
 
 
@@ -283,8 +283,8 @@ def test_criterion_07_blind_deconvolution_beats_projected_gradient():
     budget = 3500
     prob, E, u0 = _deconv_setup(sigma=0.0, seed=0)
 
-    constraint = SeparableSum([(Zero(), (0, E.n_image)),
-                               (SimplexIndicator(), (E.n_image, E.size))])
+    constraint = SeparableSum([(Zero(), E.n_image),
+                               (SimplexIndicator(), E.n_kernel)])
     st0 = replace(initial_state(E, Zero(), u0, tau0=1.0), q=None)
     baseline = run(E, constraint, st0, BacktrackingPolicy(tau0=1.0),
                    StoppingRule(max_iter=budget))
@@ -333,8 +333,8 @@ def test_criterion_08_discrepancy_stopping():
     prob, E, u0 = _deconv_setup(sigma=sigma, seed=0, N=N)
     tv = TotalVariation2D(1e-3, (N, N), config=PdhgConfig(tol=1e-10, maxit=400),
                           strict=False)
-    R = SeparableSum([(tv, (0, N * N)),
-                      (SimplexIndicator(), (N * N, N * N + 15), False)])
+    R = SeparableSum([(tv, N * N),
+                      (SimplexIndicator(), 15, False)])
     st0 = initial_state(E, R, u0, tau0=2.0)
     max_iter = 30000
     res = run(E, R, st0, BacktrackingPolicy(tau0=2.0),
@@ -358,8 +358,8 @@ def test_criterion_09_classifier_rank_monotone_and_learning():
     E = ClassifierObjective(prob)
     sizes = [m * n for m, n in shapes]
     R = SeparableSum([
-        (NuclearNorm(0.2, shapes[0]), (0, sizes[0])),
-        (NuclearNorm(0.2, shapes[1]), (sizes[0], sizes[0] + sizes[1])),
+        (NuclearNorm(0.2, shapes[0]), sizes[0]),
+        (NuclearNorm(0.2, shapes[1]), sizes[1]),
     ])
     u0 = E.pack(init_weights(shapes, seed=0))
     st0 = initial_state(E, R, u0, tau0=1e-3)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from linbreg.cli import main
+from linbreg.problems.mnist import write_idx_images, write_idx_labels
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -60,24 +61,64 @@ OUT_OF_RANGE = [
     ("train_n", "problem = classifier\ntrain_n = 0\n", "train_n"),
     ("coils", "problem = mri\nn = 8\ncoils = 0\n", "coils"),
     ("sigma", "problem = deconv\nheight = 8\nwidth = 8\nsigma = -1\n", "sigma"),
+    # names no factory accepts: run failed with a traceback, or for reg exited 2
+    # only after check had printed ok
+    ("activation", "problem = classifier\ntrain_n = 20\nactivation = bogus\n", "activation"),
+    ("loss", "problem = classifier\ntrain_n = 20\nloss = bogus\n", "loss"),
+    ("mask", "problem = mri\nn = 8\nmask = bogus\n", "mask"),
+    ("reg", "problem = quadratic\nn = 6\nreg = bogus\n", "reg"),
+    ("kl-loss_eps", "problem = classifier\ntrain_n = 20\nloss = kl\nloss_eps = -1\n",
+     "loss_eps"),
+    ("kl-sym-loss_eps", "problem = classifier\ntrain_n = 20\nloss = kl-sym\nloss_eps = 0\n",
+     "loss_eps"),
+    # meaningless values that ran to the end
+    ("mask_p", "problem = mri\nn = 8\nmask = random\nmask_p = 2\n", "mask_p"),
+    ("beta", "problem = classifier\ntrain_n = 20\nactivation = smooth-max\nbeta = 0\n", "beta"),
+    ("tv_tol", "problem = deconv\nheight = 8\nwidth = 8\ntv_tol = -1\n", "tv_tol"),
+    ("iterate_gap_tol", "problem = quadratic\nn = 6\niterate_gap_tol = -1\n",
+     "iterate_gap_tol"),
+    ("snapshots", "problem = quadratic\nn = 6\nsnapshots = -1,0\n", "snapshots"),
+    ("epsilon", "problem = mri\nn = 8\nepsilon = -1\n", "epsilon"),
+    # one data file without the other trained on synthetic digits
+    ("data_images-only", "problem = classifier\ndata_images = {tmp}/images.idx\n", "data_images"),
+    ("data_labels-only", "problem = classifier\ndata_labels = {tmp}/labels.idx\n", "data_labels"),
 ]
+
+# data files that only run reads, each of which made it fail with a traceback:
+# missing, truncated, an image file given as labels, and mismatched counts
+DIGITS = "problem = classifier\nhidden = 2\ndata_images = {tmp}/%s\ndata_labels = {tmp}/%s\n"
+BAD_DATA_FILES = [
+    ("missing-images", DIGITS % ("nope.idx", "labels.idx"), "data_images"),
+    ("truncated-images", DIGITS % ("truncated.idx", "labels.idx"), "data_images"),
+    ("images-as-labels", DIGITS % ("images.idx", "images.idx"), "data_labels"),
+    ("count-mismatch", DIGITS % ("images.idx", "labels3.idx"), "data_labels"),
+]
+
+
+def write_digit_files(directory):
+    """A valid 4-sample IDX image and label pair, a truncated image file and 3 labels."""
+    write_idx_images(directory / "images.idx", np.zeros((4, 28, 28), dtype=np.uint8))
+    write_idx_labels(directory / "labels.idx", np.arange(4))
+    write_idx_labels(directory / "labels3.idx", np.arange(3))
+    (directory / "truncated.idx").write_bytes((directory / "images.idx").read_bytes()[:100])
 
 
 class TestOutOfRange:
     @pytest.mark.parametrize("text, key", [(t, k) for _, t, k in OUT_OF_RANGE],
                              ids=[i for i, _, _ in OUT_OF_RANGE])
     def test_check_exit_code_2(self, tmp_path, capsys, text, key):
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, text.format(tmp=tmp_path))
         assert main(["check", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and repr(key) in err
 
     @pytest.mark.parametrize("text, flags, key",
-                             [(t, [], k) for _, t, k in OUT_OF_RANGE]
+                             [(t, [], k) for _, t, k in OUT_OF_RANGE + BAD_DATA_FILES]
                              + [("problem = quadratic\nn = 6\n", ["--max-iter", "-2"], "max_iter")],
-                             ids=[i for i, _, _ in OUT_OF_RANGE] + ["--max-iter"])
+                             ids=[i for i, _, _ in OUT_OF_RANGE + BAD_DATA_FILES] + ["--max-iter"])
     def test_run_exit_code_2(self, tmp_path, capsys, text, flags, key):
-        cfg = write_cfg(tmp_path, text)
+        write_digit_files(tmp_path)
+        cfg = write_cfg(tmp_path, text.format(tmp=tmp_path))
         out = tmp_path / "out"
         assert main(["run", cfg, "--out", str(out)] + flags) == 2
         err = capsys.readouterr().err
@@ -90,9 +131,17 @@ class TestOutOfRange:
         "problem = deconv\nheight = 3\nwidth = 5\nalpha = 0\n",
         "problem = quadratic\nn = 1\nl_const = 0\nreg_alpha = 0\n",
         "problem = classifier\ntrain_n = 1\nhidden = 1\n",
-    ], ids=["mri", "deconv", "deconv-full-kernel", "quadratic", "classifier"])
+        "problem = mri\nn = 4\nmask = random\nmask_p = 0\n",
+        "problem = mri\nn = 4\nmask = random\nmask_p = 1\n",
+        "problem = deconv\nheight = 4\nwidth = 5\ntv_tol = 0\ntv_maxit = 5\n",
+        "problem = quadratic\nn = 3\niterate_gap_tol = 0\n",
+        "problem = quadratic\nn = 3\nsnapshots = 1\n",
+        DIGITS % ("images.idx", "labels.idx"),
+    ], ids=["mri", "deconv", "deconv-full-kernel", "quadratic", "classifier", "mask_p-0",
+            "mask_p-1", "tv_tol-0", "iterate_gap_tol-0", "snapshots-1", "data-files"])
     def test_smallest_values_run(self, tmp_path, text):
-        cfg = write_cfg(tmp_path, text + "max_iter = 2\n")
+        write_digit_files(tmp_path)
+        cfg = write_cfg(tmp_path, text.format(tmp=tmp_path) + "max_iter = 2\n")
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
 
 

@@ -125,8 +125,8 @@ class TestClassifierRankGrowth:
         As0 = [1e-4 * rng.uniform(-1, 1, size=s) / np.sqrt(s[1]) + 3e-4 for s in shapes]
         sizes = [m * n for m, n in shapes]
         R = SeparableSum([
-            (NuclearNorm(0.5, shapes[0]), (0, sizes[0])),
-            (NuclearNorm(0.5, shapes[1]), (sizes[0], sizes[0] + sizes[1])),
+            (NuclearNorm(0.5, shapes[0]), sizes[0]),
+            (NuclearNorm(0.5, shapes[1]), sizes[1]),
         ])
         st0 = initial_state(E, R, E.pack(As0), tau0=0.02)
         ranks = []

@@ -105,7 +105,7 @@ class TestScaleSpaceTrend:
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
         tv = TotalVariation2D(0.05, (16, 16), config=PdhgConfig(tol=1e-7, maxit=200),
                               strict=False)
-        R = SeparableSum([(tv, (0, E.n_image)), (SimplexIndicator(), (E.n_image, E.size))])
+        R = SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel)])
         u0 = E.pack(np.zeros((16, 16)), np.full((3, 3), 1.0 / 9.0))
         st0 = initial_state(E, R, u0, tau0=2.0)
         tvs = []

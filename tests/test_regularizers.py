@@ -68,13 +68,13 @@ class TestSymmetricBregman:
         R = L1()
         u = np.array([1.0, -2.0])
         q = R.initial_subgradient(u)
-        assert symmetric_bregman_distance(R, u, u, q, q) == 0.0
+        assert symmetric_bregman_distance(u, u, q, q) == 0.0
 
     def test_quadratic_gives_squared_distance(self):
         R = SquaredL2()
         rng = np.random.default_rng(1)
         u, v = rng.standard_normal((2, 5))
-        d = symmetric_bregman_distance(R, u, v, p=u, q=v)
+        d = symmetric_bregman_distance(u, v, p=u, q=v)
         assert d == pytest.approx(np.sum((u - v) ** 2), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -86,7 +86,7 @@ class TestSymmetricBregman:
         v = R.prox(z2, 1.0)
         p = z1 - u
         q = z2 - v
-        lhs = symmetric_bregman_distance(R, u, v, p, q)
+        lhs = symmetric_bregman_distance(u, v, p, q)
         rhs = bregman_distance(R, u, v, q) + bregman_distance(R, v, u, p)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -345,19 +345,19 @@ class TestInstancesCommon:
 class TestComposeSeparable:
     def test_single_part_identity(self):
         R = L1(0.5)
-        S = SeparableSum([(R, (0, 4))])
+        S = SeparableSum([(R, 4)])
         rng = np.random.default_rng(7)
         z = rng.standard_normal(4)
         assert S.value(z) == pytest.approx(R.value(z))
         assert np.array_equal(S.prox(z, 0.7), R.prox(z, 0.7))
 
     def test_two_quadratic_blocks(self):
-        S = SeparableSum([(SquaredL2(), (0, 3)), (SquaredL2(), (3, 5))])
+        S = SeparableSum([(SquaredL2(), 3), (SquaredL2(), 2)])
         z = np.arange(5.0)
         assert np.allclose(S.prox(z, 2.0), z / 3.0)
 
     def test_l1_plus_simplex_blockwise(self):
-        S = SeparableSum([(L1(1.0), (0, 3)), (SimplexIndicator(), (3, 6))])
+        S = SeparableSum([(L1(1.0), 3), (SimplexIndicator(), 3)])
         rng = np.random.default_rng(8)
         z = rng.standard_normal(6)
         out = S.prox(z, 0.5)
@@ -366,17 +366,17 @@ class TestComposeSeparable:
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
-            SeparableSum([(L1(), (0, 3)), (L1(), (4, 6))])  # gap
+            SeparableSum([(L1(), 3), (L1(), 0)])  # empty block
         with pytest.raises(ValueError):
-            SeparableSum([(L1(), (0, 3)), (L1(), (2, 6))])  # overlap
+            SeparableSum([(L1(), 3), (L1(), -1)])  # negative size
 
     def test_conjugate_availability_propagates(self):
-        S = SeparableSum([(L1(), (0, 2)), (TotalVariation2D(1.0, (1, 2)), (2, 4))])
+        S = SeparableSum([(L1(), 2), (TotalVariation2D(1.0, (1, 2)), 2)])
         assert not S.has_conjugate
         with pytest.raises(UnsupportedOperation):
             S.conjugate_value(np.zeros(4))
 
     def test_separable_conjugate_value(self):
-        S = SeparableSum([(SquaredL2(), (0, 2)), (SquaredL2(), (2, 4))])
+        S = SeparableSum([(SquaredL2(), 2), (SquaredL2(), 2)])
         q = np.array([1.0, 2.0, 3.0, 4.0])
         assert S.conjugate_value(q) == pytest.approx(0.5 * np.sum(q ** 2))

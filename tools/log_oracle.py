@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 18 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 24 fixed CLI runs.
 
-Runs six configs under each of the three solvers (``linbreg``,
+Runs eight configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -30,6 +30,9 @@ CONFIGS = {
                     "snapshots = 1,10,40\nkernel_memory = true\n"),
     "mri": "problem = mri\nn = 16\nmax_iter = 15\n",
     "classifier": "problem = classifier\ntrain_n = 60\nhidden = 8\nmax_iter = 20\n",
+    "classifier-smoothmax-kl": ("problem = classifier\ntrain_n = 60\nhidden = 8\nmax_iter = 20\n"
+                                "activation = smooth-max\nloss = kl\n"),
+    "mri-zero-random": "problem = mri\nn = 16\nmax_iter = 15\nalpha = 0\nmask = random\n",
     "quadratic-l1": "problem = quadratic\nn = 30\nmax_iter = 80\nreg = l1\n",
     "quadratic-none": "problem = quadratic\nn = 30\nmax_iter = 80\nreg = none\n",
 }
