@@ -62,7 +62,10 @@ def main(argv=None) -> int:
             rng = np.random.default_rng(cfg["seed"])
             point = built.u0 + 0.01 * rng.standard_normal(np.asarray(built.u0).shape)
             report = finite_difference_gradient_check(built.E, point, seed=cfg["seed"])
-        except (NumericsError, ConfigError) as exc:
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except NumericsError as exc:
             print(f"grad-check failed: {exc}", file=sys.stderr)
             return 3
         print(f"max_rel_err = {report.max_rel_err:.3e} "

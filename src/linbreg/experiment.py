@@ -477,10 +477,10 @@ def write_log_csv(path, records, extra_columns) -> None:
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunLog:
     """Execute a resolved config and write log, snapshots, summary and resolved config."""
     built = build_experiment(cfg)
+    st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     snap_dir = out / "snapshots"
-    st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
     policy = BacktrackingPolicy(tau0=cfg["tau0"], eps_decrease=cfg["eps_decrease"])
     eta = cfg["discrepancy_eta"]
     if cfg["problem"] == "deconv" and cfg.get("auto_eta") and eta is None:

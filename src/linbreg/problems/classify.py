@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..exceptions import NumericsError
 from ..solver import SmoothObjective
 
 
@@ -104,7 +105,7 @@ def loss_value_grad(kind: str, X: np.ndarray, Y: np.ndarray, eps: float = 0.0):
     ``kl`` is the shifted Kullback-Leibler divergence
     sum (X+eps) log((X+eps)/(Y+eps)) + Y - X, ``kl-sym`` its symmetrised form
     sum log((X+eps)/(Y+eps)) (X - Y).  Both require all shifted entries to be
-    positive.
+    positive; a point outside that domain raises ``NumericsError``.
     """
     if kind == "frobenius":
         d = X - Y
@@ -113,7 +114,7 @@ def loss_value_grad(kind: str, X: np.ndarray, Y: np.ndarray, eps: float = 0.0):
         Xs = X + eps
         Ys = Y + eps
         if np.any(Xs <= 0.0) or np.any(Ys <= 0.0):
-            raise ValueError("shifted KL loss needs positive shifted entries; increase eps")
+            raise NumericsError("shifted KL loss needs positive shifted entries; increase eps")
         logratio = np.log(Xs / Ys)
         if kind == "kl":
             value = float(np.sum(Xs * logratio + Y - X))
@@ -259,20 +260,28 @@ def synthetic_digits(seed: int, n: int, side: int = 28):
     """Seeded digit-image matrix D (side^2 x n, values in [0, 1]) and labels.
 
     Blocky 7x5 glyphs upsampled to side x side with random shifts, intensity
-    scaling and pixel noise; deterministic per seed.
+    scaling and pixel noise.  The output is a pure function of the arguments,
+    and the order of the RNG draws is part of that contract: per sample the
+    digit, the row shift, the column shift, the amplitude, then side x side
+    noise.  Every synthetic classifier run depends on this stream.
     """
     rng = np.random.default_rng(seed)
     scale = side // 7
     pad = side - 5 * scale
+    glyphs = [np.pad(np.kron(_glyph(d), np.ones((scale, scale))),
+                     ((0, side - 7 * scale), (pad // 2, pad - pad // 2)))
+              for d in range(10)]
+    # np.roll by s along an axis is the gather of roll_idx[s] = (i - s) mod side
+    roll_idx = {s: (np.arange(side) - s) % side for s in range(-2, 3)}
     D = np.zeros((side * side, n))
     labels = np.zeros(n, dtype=np.int64)
     for i in range(n):
         d = int(rng.integers(0, 10))
-        img = np.kron(_glyph(d), np.ones((scale, scale)))
-        img = np.pad(img, ((0, side - img.shape[0]), (pad // 2, pad - pad // 2)))
-        img = np.roll(img, (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))), axis=(0, 1))
-        img = img * rng.uniform(0.75, 1.0) + 0.05 * rng.uniform(size=img.shape)
-        D[:, i] = np.clip(img, 0.0, 1.0).ravel()
+        dy, dx = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
+        img = glyphs[d][roll_idx[dy][:, None], roll_idx[dx]]  # the gather copies
+        img *= rng.uniform(0.75, 1.0)
+        img += 0.05 * rng.uniform(size=(side, side))
+        D[:, i] = np.clip(img, 0.0, 1.0, out=img).ravel()
         labels[i] = d
     return D, labels
 

@@ -68,11 +68,17 @@ class BlindDeconvObjective(SmoothObjective):
         return 0.5 * float(np.sum(r * r)), self.pack(gu, gh)
 
 
+_KERNEL_CHUNK = 1 << 18  # kernel cells evaluated at once by motion_kernel
+
+
 def motion_kernel(shape, angle: float) -> np.ndarray:
     """Line-segment blur kernel on the given support, normalised to sum 1.
 
     The segment passes through the kernel centre at the given angle; cells get
     weights from the time the line spends near them (Gaussian cross-profile).
+    The output is a pure function of the arguments and draws no random
+    numbers; the profiles of the 64 * max(shape) sample points are summed in
+    sample order, which fixes its bytes.
     """
     kh, kw = shape
     ch, cw = (kh - 1) / 2.0, (kw - 1) / 2.0
@@ -80,10 +86,15 @@ def motion_kernel(shape, angle: float) -> np.ndarray:
     ts = np.linspace(-0.5, 0.5, 64 * length)
     ys = ch + ts * length * np.sin(angle)
     xs = cw + ts * length * np.cos(angle)
-    k = np.zeros(shape)
     ii, jj = np.mgrid[0:kh, 0:kw]
-    for y, x in zip(ys, xs):
-        k += np.exp(-((ii - y) ** 2 + (jj - x) ** 2) / 0.5)
+    # add.reduce over axis 0 of [k, p_lo, p_lo+1, ...] sums in that order, as a
+    # k += p loop would; the chunks bound the stacked array at _KERNEL_CHUNK cells
+    k = np.zeros(shape)
+    step = max(1, _KERNEL_CHUNK // (kh * kw))
+    for lo in range(0, ts.size, step):
+        y, x = ys[lo:lo + step, None, None], xs[lo:lo + step, None, None]
+        profiles = np.exp(-((ii - y) ** 2 + (jj - x) ** 2) / 0.5)
+        k = np.add.reduce(np.concatenate([k[None], profiles]), axis=0)
     total = k.sum()
     if total <= 0:
         raise ValueError("degenerate kernel support")

@@ -50,20 +50,20 @@ def mri_energy_grad(u: np.ndarray, bs, mask: np.ndarray, data, eps: float):
 def spiral_mask(N: int, turns: float = 4.0, samples_per_turn: int = 2400) -> np.ndarray:
     """Archimedean spiral on the cartesian k-space grid, DC at the array origin.
 
-    The default geometry retains roughly a quarter of the grid at N = 64.
+    The default geometry retains roughly a quarter of the grid at N = 64.  The
+    output is a pure function of the arguments and draws no random numbers.
+    Each sample point is rounded half to even and marks its 2x2 cell block.
     """
     centred = np.zeros((N, N), dtype=bool)
     thetas = np.linspace(0.0, 2.0 * np.pi * turns, int(samples_per_turn * turns))
     rmax = N / 2.0
-    for t in thetas:
-        rad = rmax * t / (2.0 * np.pi * turns)
-        y = int(round(N / 2.0 + rad * np.sin(t)))
-        x = int(round(N / 2.0 + rad * np.cos(t)))
-        for dy in (0, 1):
-            for dx in (0, 1):
-                yy, xx = y + dy, x + dx
-                if 0 <= yy < N and 0 <= xx < N:
-                    centred[yy, xx] = True
+    rad = rmax * thetas / (2.0 * np.pi * turns)
+    y = np.round(N / 2.0 + rad * np.sin(thetas)).astype(np.int64)
+    x = np.round(N / 2.0 + rad * np.cos(thetas)).astype(np.int64)
+    for yy in (y, y + 1):
+        for xx in (x, x + 1):
+            inside = (0 <= yy) & (yy < N) & (0 <= xx) & (xx < N)
+            centred[yy[inside], xx[inside]] = True
     return np.fft.ifftshift(centred).astype(np.float64)
 
 

@@ -185,6 +185,16 @@ class TestSolverErrorExitCode:
         assert "solver error" in capsys.readouterr().err
 
 
+    def test_kl_domain_error_at_u0_exits_3_without_output(self, tmp_path, capsys):
+        # the smooth-max output at u0 leaves the shifted KL domain for this eps
+        cfg = write_cfg(tmp_path, "problem = classifier\ntrain_n = 20\nhidden = 3\n"
+                                  "activation = smooth-max\nloss = kl\nloss_eps = 1e-3\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--max-iter", "0"]) == 3
+        assert "solver error" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGradCheck:
     def test_deconv_gradient_passes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "problem = deconv\nheight = 8\nwidth = 8\nseed = 1\n")
@@ -200,3 +210,9 @@ class TestGradCheck:
                         "problem = classifier\ntrain_n = 20\nhidden = 5\n"
                         "activation = smooth-max\nseed = 1\n")
         assert main(["grad-check", cfg]) == 0
+
+    def test_config_error_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (DIGITS % ("nope.idx", "nope.idx")).format(tmp=tmp_path))
+        assert main(["grad-check", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'data_images'" in err

@@ -88,11 +88,12 @@ class TestGradients:
         assert report.max_rel_err < 1e-4
 
     def test_kl_domain_error(self):
+        from linbreg.exceptions import NumericsError
         from linbreg.problems.classify import loss_value_grad
 
         X = np.array([[-0.5]])
         Y = np.array([[1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericsError):
             loss_value_grad("kl", X, Y, eps=0.1)
 
 
