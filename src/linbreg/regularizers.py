@@ -303,10 +303,11 @@ class TotalVariation2D(BregmanFunction):
     per run.
 
     With ``strict=False`` an exhausted inner iteration budget returns the best
-    iterate found instead of raising.  The inexactness need not vanish along
-    an outer run: on 32x32 blind deconvolution with ``maxit=400`` every
-    warm-started call exhausted its budget, the relative gap stalling at
-    4e-5 to 6e-5.  The stored q is then only an epsilon-subgradient of R at
+    iterate found instead of raising; a prox argument for which no inner gap
+    is finite raises ``NumericsError`` either way.  The inexactness need not
+    vanish along an outer run: on 32x32 blind deconvolution with
+    ``maxit=400`` every warm-started call exhausted its budget, the relative
+    gap stalling at 4e-5 to 6e-5.  The stored q is then only an epsilon-subgradient of R at
     the new iterate, and epsilon is not recorded.
     """
 

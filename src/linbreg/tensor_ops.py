@@ -85,6 +85,13 @@ def kernel_gradient(u: np.ndarray, r: np.ndarray, kernel_shape) -> np.ndarray:
     return corr[np.ix_(rows, cols)]
 
 
+def check_image(u: np.ndarray) -> np.ndarray:
+    """Return ``u`` if it is a 2-D image with at least 2 pixels, else raise ValueError."""
+    if u.ndim != 2 or u.size < 2:
+        raise ValueError(f"need a 2-D image with at least 2 pixels, got shape {u.shape}")
+    return u
+
+
 def grad2d_forward(u: np.ndarray) -> np.ndarray:
     """Forward-difference gradient with replicate (Neumann) boundary.
 
@@ -93,9 +100,7 @@ def grad2d_forward(u: np.ndarray) -> np.ndarray:
     zero.  Degenerate 1x1 (or empty) images are rejected; 1xN and Nx1 are
     allowed, the size-one axis simply contributes no differences.
     """
-    u = np.asarray(u, dtype=np.float64)
-    if u.ndim != 2 or u.size < 2:
-        raise ValueError(f"need a 2-D image with at least 2 pixels, got shape {u.shape}")
+    u = check_image(np.asarray(u, dtype=np.float64))
     H, W = u.shape
     g = np.zeros((2, H, W), dtype=np.float64)
     g[0, : H - 1, :] = u[1:, :] - u[: H - 1, :]

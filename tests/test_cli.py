@@ -194,6 +194,14 @@ class TestSolverErrorExitCode:
         assert "solver error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_tv_prox_exits_3(self, tmp_path, capsys):
+        # the first step overflows the TV prox argument, so no inner gap is finite
+        cfg = write_cfg(tmp_path, "problem = deconv\nheight = 8\nwidth = 8\n"
+                                  "tau0 = 1e305\nmax_iter = 3\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "solver error" in capsys.readouterr().err
+
 
 class TestGradCheck:
     def test_deconv_gradient_passes(self, tmp_path, capsys):

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from linbreg import NotConvergedError, PdhgConfig
-from linbreg.pdhg import SIGMA, TAU_INNER, pdhg_tv_prox
-from linbreg.tensor_ops import div2d, total_variation
+from linbreg import NotConvergedError, NumericsError, PdhgConfig, TotalVariation2D
+from linbreg.pdhg import SIGMA, TAU_INNER, PdhgResult, pdhg_tv_prox
+from linbreg.tensor_ops import div2d, grad2d_forward, total_variation
 from linbreg.verify import tv_prox_dual_oracle
 
 
@@ -106,3 +108,201 @@ class TestNotConverged:
         assert res.iters == 5
         assert res.u.shape == z.shape
         assert np.isfinite(res.gap)
+
+
+def digest(u, dual, gap, iters):
+    """SHA-256 over the dtype, shape and C-order bytes of u, dual, gap and iters."""
+    h = hashlib.sha256()
+    for a in (u, dual, np.float64(gap), np.int64(iters)):
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def solve(fn, z, lam, cfg, dual0=None):
+    """(u, dual, gap, iters) of one prox call, from either exit."""
+    try:
+        res = fn(z, lam, cfg, dual0=dual0)
+    except NotConvergedError as err:
+        res = err.result
+    return res.u, res.dual, res.gap, res.iters
+
+
+def pdhg_loop_reference(z, lam, cfg, dual0=None):
+    """The allocating loop the workspace kernel replaced, kept as a bit reference."""
+    z = np.asarray(z, dtype=np.float64)
+    u = z.copy()
+    ubar = u
+    if dual0 is not None and np.asarray(dual0).shape == (2,) + z.shape:
+        p = np.array(dual0, dtype=np.float64, copy=True)
+        p = project_ball_reference(p, lam)
+    else:
+        p = np.zeros((2,) + z.shape, dtype=np.float64)
+    best_gap, best_u, best_p = np.inf, None, None
+    for it in range(1, cfg.maxit + 1):
+        p = project_ball_reference(p + SIGMA * grad2d_forward(ubar), lam)
+        div_p = div2d(p)
+        if it <= 50 or it % 10 == 0 or it == cfg.maxit:
+            cand = z + div_p
+            g = grad2d_forward(cand)
+            tv_cand = float(np.sum(np.sqrt(g[0] ** 2 + g[1] ** 2)))
+            primal = 0.5 * float(np.dot(div_p.ravel(), div_p.ravel())) + lam * tv_cand
+            gap_abs = lam * tv_cand - float(np.vdot(g.ravel(), p.ravel()))
+            gap_rel = gap_abs / (1.0 + abs(primal))
+            if gap_rel < best_gap:
+                best_gap, best_u, best_p = gap_rel, cand, p.copy()
+            if best_gap <= cfg.tol:
+                return PdhgResult(u=best_u, gap=best_gap, iters=it, dual=best_p)
+        u_new = (u + TAU_INNER * (div_p + z)) / (1.0 + TAU_INNER)
+        ubar = u_new + (u_new - u)
+        u = u_new
+    raise NotConvergedError("reference loop exhausted",
+                            result=PdhgResult(u=best_u, gap=best_gap, iters=cfg.maxit, dual=best_p))
+
+
+def project_ball_reference(p, lam):
+    mag = np.sqrt(p[0] ** 2 + p[1] ** 2)
+    scale = np.ones_like(mag)
+    np.divide(lam, mag, out=scale, where=mag > lam)
+    return p * scale[None, :, :]
+
+
+def pin_args(shape, seed, lam, tol, maxit, dual0=None, scale=1.0):
+    """Seeded prox arguments; ``dual0`` is None, "random", "badshape" or "chained"."""
+    rng = np.random.default_rng(seed)
+    z = scale * rng.standard_normal(shape)
+    cfg = PdhgConfig(tol=tol, maxit=maxit)
+    if dual0 == "random":
+        dual0 = rng.standard_normal((2,) + shape)
+    elif dual0 == "badshape":
+        dual0 = rng.standard_normal((2, shape[0] + 1, shape[1]))
+    elif dual0 == "chained":
+        # the warm start of an outer run: the previous call's dual at a nearby argument
+        dual0 = solve(pdhg_loop_reference, z + 0.05 * rng.standard_normal(shape), lam, cfg)[1]
+    return z, lam, cfg, dual0
+
+
+# (shape, seed, lam, tol, maxit, dual0[, scale]); the comment names the exit
+PIN_CASES = {
+    "cold-8x8": ((8, 8), 0, 0.5, 1e-7, 2000),  # exhausted on the schedule
+    "cold-8x8-early": ((8, 8), 1, 0.2, 1e-3, 2000),  # converged at iteration 13
+    "warm-random-8x8": ((8, 8), 2, 0.3, 1e-7, 2000, "random"),  # converged at iteration 140
+    "warm-chained-8x8": ((8, 8), 3, 0.3, 1e-7, 2000, "chained"),
+    "dual0-badshape-8x8": ((8, 8), 4, 0.3, 1e-7, 2000, "badshape"),
+    "lam0-cold-6x6": ((6, 6), 5, 0.0, 1e-7, 2000),
+    "lam0-warm-6x6": ((6, 6), 6, 0.0, 1e-7, 2000, "random"),
+    "row-1x9": ((1, 9), 7, 0.4, 1e-9, 300),
+    "col-9x1": ((9, 1), 8, 0.4, 1e-9, 300),
+    "tiny-2x2": ((2, 2), 9, 0.4, 1e-9, 300),
+    "odd-5x7": ((5, 7), 10, 0.4, 1e-9, 300, "random"),
+    "deconv-like-32x32": ((32, 32), 11, 0.1, 1e-8, 400, None, 0.3),  # exhausted, as in deconv runs
+    "deconv-like-32x32-warm": ((32, 32), 12, 0.1, 1e-8, 400, "chained", 0.3),
+    "maxit-73": ((8, 8), 13, 0.5, 1e-14, 73),  # exhausted off the check schedule
+}
+
+PIN_SHA = {
+    "cold-8x8": "3fbd55e917fd92a4439daedbc84dc103479486b0ec7234287e1f3c6547a5982d",
+    "cold-8x8-early": "f857fe0f0588cc4413ae085c495b481b9a207ea2bf9246c5dd47d64e3bfbb42d",
+    "warm-random-8x8": "67246659643ac4b0b7d5d8c9cd1770db37417522d03136e08bfeb559b6bb6b73",
+    "warm-chained-8x8": "19a644671ff58480580f474562defe52d630c60e98eed59eae891505a4445aec",
+    "dual0-badshape-8x8": "70a98c42dc4cee93047069887823dd342b0a3dbbcd58996e9c8c9241caf95e60",
+    "lam0-cold-6x6": "f86305881e46152c35c65d5d8381119c138c1fa16383ea9f358a0da47454509b",
+    "lam0-warm-6x6": "024b2a51b1d89d2292e302dabfa66fb3857b77a29298eecadf3025301309d06c",
+    "row-1x9": "fe5aaf41b75c6484a8489d4a45f5a139e83b1c0c7a245ac1e017049b8a6132e2",
+    "col-9x1": "83b1b0c8513d2b374c2e3071e07b2225c1a46d3f016a812d0ff18d5b0954e8e7",
+    "tiny-2x2": "f7519e5793bf717a717c69a75960237becce0c0be4b495d0619393681174b5bb",
+    "odd-5x7": "7b6ecd558d2b768105f520b8251026722525e727806a4e375dd038525be36413",
+    "deconv-like-32x32": "c01366015f063edfcb41a723b9e23524f1c5522c3ada44a6261f54dc77c536e6",
+    "deconv-like-32x32-warm": "166826bbafe9698193de3f95c71f78c7f6d11ec51c4fb5d7f4d31e27dff31b6a",
+    "maxit-73": "b1eda30b072e8c6775454752e4278af49fcc438a7c2679457a685a4edcf36804",
+}
+
+
+class TestDigestPins:
+    """Digests recorded from the allocating loop before the workspace kernel."""
+
+    @pytest.mark.parametrize("name", sorted(PIN_CASES))
+    def test_pinned_bits(self, name):
+        args = pin_args(*PIN_CASES[name])
+        assert digest(*solve(pdhg_tv_prox, *args)) == PIN_SHA[name]
+
+    @pytest.mark.parametrize("name", sorted(PIN_CASES))
+    def test_reference_reproduces_pins(self, name):
+        args = pin_args(*PIN_CASES[name])
+        assert digest(*solve(pdhg_loop_reference, *args)) == PIN_SHA[name]
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equal_bits_on_seeded_arguments(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        shape = (int(rng.integers(1, 12)), int(rng.integers(2, 12)))
+        if rng.uniform() < 0.5:
+            shape = shape[::-1]
+        lam = float(rng.choice([0.0, rng.uniform(0.01, 1.0)], p=[0.15, 0.85]))
+        tol = float(10.0 ** rng.uniform(-10, -3))
+        maxit = int(rng.integers(1, 260))
+        dual0 = str(rng.choice(["none", "random", "badshape", "chained"]))
+        args = pin_args(shape, seed, lam, tol, maxit, None if dual0 == "none" else dual0,
+                        float(rng.uniform(0.1, 3.0)))
+        assert digest(*solve(pdhg_tv_prox, *args)) == digest(*solve(pdhg_loop_reference, *args))
+
+    def test_equal_bits_on_constant_image(self):
+        args = (np.full((5, 5), 1.3), 2.0, PdhgConfig(tol=1e-7, maxit=100), None)
+        assert digest(*solve(pdhg_tv_prox, *args)) == digest(*solve(pdhg_loop_reference, *args))
+
+
+class TestAliasing:
+    def test_result_owns_its_arrays(self):
+        z, lam, cfg, dual0 = pin_args((6, 6), 20, 0.3, 1e-7, 200, "random")
+        z_before, dual0_before = z.copy(), dual0.copy()
+        res = pdhg_tv_prox(z, lam, cfg, dual0=dual0)
+        for a, b in [(res.u, z), (res.dual, dual0), (res.u, res.dual)]:
+            assert not np.shares_memory(a, b)
+        assert np.array_equal(z, z_before) and np.array_equal(dual0, dual0_before)
+
+    def test_second_call_leaves_first_result(self):
+        z, lam, cfg, _ = pin_args((6, 6), 21, 0.3, 1e-7, 200)
+        first = pdhg_tv_prox(z, lam, cfg)
+        u, dual = first.u.copy(), first.dual.copy()
+        pdhg_tv_prox(z, lam, cfg, dual0=first.dual)
+        pdhg_tv_prox(z + 1.0, lam, cfg)
+        assert np.array_equal(first.u, u) and np.array_equal(first.dual, dual)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
+    def test_single_row_or_column_through_regularizer(self, shape):
+        z = np.random.default_rng(22).standard_normal(shape)
+        R = TotalVariation2D(0.4, shape, config=PdhgConfig(tol=1e-10, maxit=5000))
+        u = R.prox(z.ravel(), 1.0)
+        oracle_u, oracle_gap = tv_prox_dual_oracle(z, 0.4, gap_tol=1e-12)
+        assert oracle_gap <= 1e-12
+        assert u.shape == (z.size,)
+        assert np.abs(u.reshape(shape) - oracle_u).max() < 1e-6
+
+    @pytest.mark.parametrize("z", [np.array([[1.0]]), np.array([1.0, 2.0]), np.zeros((2, 2, 2))])
+    def test_degenerate_image_rejected(self, z):
+        with pytest.raises(ValueError, match="at least 2 pixels"):
+            pdhg_tv_prox(z, 0.5)
+
+    def test_one_pixel_image_rejected_through_regularizer(self):
+        with pytest.raises(ValueError, match="at least 2 pixels"):
+            TotalVariation2D(0.5, (1, 1)).prox(np.array([1.0]), 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e305])
+    def test_no_finite_gap_raises_numerics_error(self, bad):
+        z = np.random.default_rng(23).standard_normal((4, 4))
+        z[1, 2] = bad
+        z[2, 1] = -bad
+        with pytest.raises(NumericsError, match="no finite gap"):
+            pdhg_tv_prox(z, 1e300, PdhgConfig(maxit=3))
+
+    def test_non_strict_regularizer_raises_numerics_error(self):
+        R = TotalVariation2D(1.0, (4, 4), config=PdhgConfig(maxit=3), strict=False)
+        z = np.full(16, 1e305)
+        z[::2] = -1e305
+        with pytest.raises(NumericsError):
+            R.prox(z, 1e300)

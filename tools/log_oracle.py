@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 33 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 36 fixed CLI runs.
 
-Runs eleven configs under each of the three solvers (``linbreg``,
+Runs twelve configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -42,6 +42,10 @@ CONFIGS = {
                           "kernel_w = 3\nseed = 11\nmax_iter = 20\n"),
     "classifier-37": "problem = classifier\ntrain_n = 37\nhidden = 5\nseed = 9\nmax_iter = 20\n",
     "mri-21": "problem = mri\nn = 21\nmax_iter = 10\n",
+    # a loose TV tolerance and an off-schedule TV budget: the prox calls above
+    # all run their 400 inner iterations, these take both inner exits
+    "deconv-tvtol": ("problem = deconv\nheight = 16\nwidth = 16\ntv_tol = 1e-4\n"
+                     "tv_maxit = 73\nmax_iter = 20\n"),
 }
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
