@@ -16,6 +16,7 @@ Re-running a config with the same seed reproduces ``log.csv`` byte for byte.
 
 from __future__ import annotations
 
+import shutil
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -60,22 +61,29 @@ BASE_COLUMNS = ["k", "tau", "energy", "surrogate", "iterate_gap", "breg_sym",
 # metrics
 # ---------------------------------------------------------------------------
 
-def rank_of(A: np.ndarray, tol: float = 1e-8) -> int:
-    """Numerical rank: number of singular values above tol * sigma_max."""
+def rank_of(A: np.ndarray, tol: float = 1e-8, singular_values=None) -> int:
+    """Numerical rank: number of singular values above tol * sigma_max.
+
+    ``singular_values`` may give those of A, as ``np.linalg.svd(A,
+    compute_uv=False)`` returns them, when they are known.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s = np.linalg.svd(np.asarray(A, dtype=np.float64), compute_uv=False)
+    s = singular_values
+    if s is None:
+        s = np.linalg.svd(np.asarray(A, dtype=np.float64), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
 
 
-def prediction_rate(As, D: np.ndarray, Y: np.ndarray, activation) -> float:
+def prediction_rate(As, D: np.ndarray, Y: np.ndarray, activation, output=None) -> float:
     """Fraction of columns whose output argmax matches the label argmax.
 
-    Ties break toward the lowest index in both arguments.
+    ``output`` may give the network output on D when it is known.  Ties break
+    toward the lowest index in both arguments.
     """
-    out = nn_forward(As, D, activation)
+    out = nn_forward(As, D, activation) if output is None else output
     return float(np.mean(np.argmax(out, axis=0) == np.argmax(Y, axis=0)))
 
 
@@ -377,16 +385,20 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
         labels=labels,
     )
     E = ClassifierObjective(prob)
-    alphas = [cfg["alpha1"], cfg["alpha2"]]
-    R = SeparableSum([(NuclearNorm(a, shape), size)
-                      for shape, size, a in zip(shapes, E.sizes, alphas)])
+    nuclear = [NuclearNorm(a, shape) for shape, a in zip(shapes, [cfg["alpha1"], cfg["alpha2"]])]
+    R = SeparableSum(list(zip(nuclear, E.sizes)))
     u0 = E.pack(init_weights(shapes, cfg["seed"]))
     extra_cols = [f"rank_A{j + 1}" for j in range(len(shapes))] + ["prediction_rate"]
 
     def extras_fn(st):
+        # read from the state's facts: R(u) stored each layer's singular
+        # values there, E the network output
         As = E.split(st.u)
-        out = {f"rank_A{j + 1}": rank_of(A) for j, A in enumerate(As)}
-        out["prediction_rate"] = prediction_rate(As, D, Y, E.activation)
+        out = {f"rank_A{j + 1}": rank_of(A, singular_values=Rj.singular_values(
+                   A, R.block_facts(st.facts, j)))
+               for j, (Rj, A) in enumerate(zip(nuclear, As))}
+        out["prediction_rate"] = prediction_rate(As, D, Y, E.activation,
+                                                 output=st.facts.get("output"))
         return out
 
     def snapshot_fn(st, directory: Path):
@@ -474,23 +486,40 @@ def write_log_csv(path, records, extra_columns) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _outermost_missing(path: Path):
+    """The outermost of ``path`` and its parents that does not exist yet, or None."""
+    return next((p for p in reversed((path, *path.parents)) if not p.exists()), None)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunLog:
-    """Execute a resolved config and write log, snapshots, summary and resolved config."""
+    """Execute a resolved config and write log, snapshots, summary and resolved config.
+
+    A run that raises removes the directories it created, and nothing else.
+    """
     built = build_experiment(cfg)
     st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     snap_dir = out / "snapshots"
+    snaps = set(cfg["snapshots"])
+    created = _outermost_missing(snap_dir if snaps else out)
+    out.mkdir(parents=True, exist_ok=True)
+    if snaps:
+        snap_dir.mkdir(exist_ok=True)
+    try:
+        return _run_into(cfg, built, st0, out, snap_dir, snaps)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
+def _run_into(cfg, built, st0, out: Path, snap_dir: Path, snaps: set) -> RunLog:
     policy = BacktrackingPolicy(tau0=cfg["tau0"], eps_decrease=cfg["eps_decrease"])
     eta = cfg["discrepancy_eta"]
     if cfg["problem"] == "deconv" and cfg.get("auto_eta") and eta is None:
         eta = discrepancy_eta(cfg["sigma"], cfg["height"], cfg["width"])
     stop = StoppingRule(max_iter=cfg["max_iter"], discrepancy_eta=eta,
                         iterate_gap_tol=cfg["iterate_gap_tol"])
-
-    snaps = set(cfg["snapshots"])
-    if snaps:
-        snap_dir.mkdir(exist_ok=True)
 
     def extras_fn(st):
         if st.k in snaps:

@@ -154,6 +154,11 @@ def nn_energy_grad(As, D: np.ndarray, Y: np.ndarray, activation: Activation,
 
     Energy = loss(network(D), Y) + (eps/2) * sum_j ||A_j||_F^2.
     """
+    return _energy_grad_output(As, D, Y, activation, loss_kind, loss_eps, eps)[:2]
+
+
+def _energy_grad_output(As, D, Y, activation, loss_kind, loss_eps, eps):
+    """``nn_energy_grad``, and the network output its forward pass computed."""
     As = [np.asarray(A, dtype=np.float64) for A in As]
     Y = np.asarray(Y, dtype=np.float64)
     T, layers = _forward(As, D, activation)
@@ -167,7 +172,7 @@ def nn_energy_grad(As, D: np.ndarray, Y: np.ndarray, activation: Activation,
         grads.append(Gz @ T_in.T + eps * A)
         G = A.T @ Gz
         value += 0.5 * eps * float(np.sum(A * A))
-    return value, grads
+    return value, grads, T
 
 
 @dataclass
@@ -220,10 +225,15 @@ class ClassifierObjective(SmoothObjective):
     def pack(self, As):
         return np.concatenate([np.ravel(A) for A in As])
 
-    def value_and_grad(self, x):
-        value, grads = nn_energy_grad(self.split(x), self.p.D, self.p.Y, self.activation,
-                                      self.p.loss_kind, self.p.loss_eps, self.p.eps)
+    def evaluate(self, x, facts):
+        """E and grad E at x; stores the network output on D as the fact ``"output"``."""
+        value, grads, facts["output"] = _energy_grad_output(
+            self.split(x), self.p.D, self.p.Y, self.activation,
+            self.p.loss_kind, self.p.loss_eps, self.p.eps)
         return value, self.pack(grads)
+
+    def value_and_grad(self, x):
+        return self.evaluate(x, {})
 
 
 def init_weights(shapes, seed: int):

@@ -2,10 +2,16 @@
 
 Every regularizer is a :class:`BregmanFunction` exposing
 
-* ``value(u)``            -- extended-real function value,
+* ``value(u, facts)``     -- extended-real function value,
 * ``prox(z, tau)``        -- argmin_u 0.5*||u - z||^2 + tau * R(u),
 * ``initial_subgradient`` -- a deterministic element of the subdifferential,
 * ``conjugate_value(q)``  -- the convex conjugate R*(q), where available.
+
+``facts`` is an optional dict of facts about the point u that the caller's
+solver state owns (see ``SolverState``): a regularizer may store what it
+computed at u there, under a key that names the fact completely, and read it
+back on a later call at the same point.  No regularizer keeps such facts on
+itself.
 
 Instances are immutable after construction (the one exception is the
 warm-start cache of :class:`TotalVariation2D`, see its docstring) and operate
@@ -14,6 +20,8 @@ input's shape.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -75,7 +83,7 @@ class BregmanFunction:
         """Whether ``conjugate_value`` is implemented: the class overrides it."""
         return type(self).conjugate_value is not BregmanFunction.conjugate_value
 
-    def value(self, u) -> float:
+    def value(self, u, facts=None) -> float:
         raise NotImplementedError
 
     def prox(self, z, tau: float) -> np.ndarray:
@@ -92,7 +100,7 @@ class BregmanFunction:
 class Zero(BregmanFunction):
     """R = 0; the linearised Bregman iteration degenerates to gradient descent."""
 
-    def value(self, u):
+    def value(self, u, facts=None):
         return 0.0
 
     def prox(self, z, tau):
@@ -115,7 +123,7 @@ class SquaredL2(BregmanFunction):
             raise ValueError("alpha must be positive")
         self.alpha = float(alpha)
 
-    def value(self, u):
+    def value(self, u, facts=None):
         u = np.ravel(u)
         return 0.5 * self.alpha * float(np.dot(u, u))
 
@@ -138,7 +146,7 @@ class L1(BregmanFunction):
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
 
-    def value(self, u):
+    def value(self, u, facts=None):
         return self.alpha * float(np.sum(np.abs(u)))
 
     def prox(self, z, tau):
@@ -173,7 +181,7 @@ class WeightedL1Dct(BregmanFunction):
     def _img(self, u):
         return np.asarray(u, dtype=np.float64).reshape(self.shape)
 
-    def value(self, u):
+    def value(self, u, facts=None):
         return self.alpha * float(np.sum(self.weights * np.abs(dct2(self._img(u)))))
 
     def prox(self, z, tau):
@@ -217,7 +225,7 @@ class SimplexIndicator(BregmanFunction):
         tol = FEAS_TOL * (1.0 + np.sqrt(u.size))
         return abs(float(np.sum(u)) - 1.0) <= tol and float(np.min(u)) >= -tol
 
-    def value(self, u):
+    def value(self, u, facts=None):
         return 0.0 if self._feasible(u) else INF
 
     def prox(self, z, tau):
@@ -237,7 +245,7 @@ class SimplexIndicator(BregmanFunction):
 class NonnegativeIndicator(BregmanFunction):
     """Indicator of the nonnegative orthant {u >= 0}."""
 
-    def value(self, u):
+    def value(self, u, facts=None):
         return 0.0 if float(np.min(np.ravel(u), initial=0.0)) >= -FEAS_TOL else INF
 
     def prox(self, z, tau):
@@ -252,8 +260,49 @@ class NonnegativeIndicator(BregmanFunction):
         return 0.0 if float(np.max(np.ravel(q), initial=0.0)) <= FEAS_TOL else INF
 
 
+# Width of the band around bound^2, in units of (m + n) * eps * ||M||_F^2, inside
+# which ``spectral_norm_at_most`` leaves the decision to the SVD.
+GRAM_BAND = 64.0
+
+
+def spectral_norm_at_most(M: np.ndarray, bound: float) -> bool:
+    """Whether s_max(M), as ``np.linalg.svd`` computes it, is at most ``bound``.
+
+    Decides from the top eigenvalue t of the smaller Gram matrix G (M M^T or
+    M^T M, p x p with p = min(m, n)) by ``np.linalg.eigvalsh``, several times
+    cheaper than the SVD of a wide M.  Rounding moves t from the exact
+    s_max^2 by at most n eps ||M||_F^2 in the product (n the inner dimension;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5)
+    plus a small multiple of p eps ||G||_2 in ``eigvalsh``, and LAPACK's SVD
+    moves s_max^2 by a small multiple of max(m, n) eps ||M||_2^2.
+    ``GRAM_BAND * (m + n) * eps * trace(G)`` bounds their sum with room to
+    spare, so wherever t is farther than that from bound^2 both routes decide
+    alike.  Within the band, or when the band is not finite (an entry of M is
+    not, or G overflows), the SVD decides.
+    """
+    m, n = M.shape
+    G = M @ M.T if m <= n else M.T @ M
+    band = GRAM_BAND * (m + n) * np.finfo(np.float64).eps * float(np.trace(G))
+    if math.isfinite(band):
+        t = float(np.linalg.eigvalsh(G)[-1]) if G.size else 0.0
+        b2 = bound * bound
+        if abs(t - b2) > band:
+            return t <= b2
+    s = np.linalg.svd(M, compute_uv=False)
+    return (float(s[0]) if s.size else 0.0) <= bound
+
+
 class NuclearNorm(BregmanFunction):
-    """R(A) = alpha * sum of singular values, on matrices of a fixed shape."""
+    """R(A) = alpha * sum of singular values, on matrices of a fixed shape.
+
+    ``value(u, facts)`` stores the singular values of u in ``facts`` under
+    ``("singular_values", shape)``; ``singular_values`` reads them back.  The
+    conjugate is the indicator of {s_max(q) <= alpha + FEAS_TOL (1 + alpha)},
+    decided by ``spectral_norm_at_most`` from the top eigenvalue t of the
+    smaller Gram matrix G of q.  Where t lies within the rounding-error bound
+    ``GRAM_BAND * (m + n) * eps * trace(G)`` of bound^2, the SVD decides, so
+    every decision is the one the SVD alone would make.
+    """
 
     def __init__(self, alpha: float, shape):
         if alpha < 0:
@@ -264,8 +313,19 @@ class NuclearNorm(BregmanFunction):
     def _mat(self, u):
         return np.asarray(u, dtype=np.float64).reshape(self.shape)
 
-    def value(self, u):
-        return self.alpha * float(np.sum(np.linalg.svd(self._mat(u), compute_uv=False)))
+    def singular_values(self, u, facts=None) -> np.ndarray:
+        """``np.linalg.svd(u as a matrix, compute_uv=False)``, taken from and
+        stored in ``facts`` when given."""
+        if facts is None:
+            return np.linalg.svd(self._mat(u), compute_uv=False)
+        key = ("singular_values", self.shape)
+        s = facts.get(key)
+        if s is None:
+            s = facts[key] = np.linalg.svd(self._mat(u), compute_uv=False)
+        return s
+
+    def value(self, u, facts=None):
+        return self.alpha * float(np.sum(self.singular_values(u, facts)))
 
     def prox(self, z, tau):
         """Singular value soft thresholding: U max(s - tau * alpha, 0) V^T."""
@@ -285,9 +345,8 @@ class NuclearNorm(BregmanFunction):
         return g.reshape(u.shape)
 
     def conjugate_value(self, q):
-        s = np.linalg.svd(self._mat(q), compute_uv=False)
-        smax = float(s[0]) if s.size else 0.0
-        return 0.0 if smax <= self.alpha + FEAS_TOL * (1.0 + self.alpha) else INF
+        bound = self.alpha + FEAS_TOL * (1.0 + self.alpha)
+        return 0.0 if spectral_norm_at_most(self._mat(q), bound) else INF
 
 
 class TotalVariation2D(BregmanFunction):
@@ -325,7 +384,7 @@ class TotalVariation2D(BregmanFunction):
     def _img(self, u):
         return np.asarray(u, dtype=np.float64).reshape(self.shape)
 
-    def value(self, u):
+    def value(self, u, facts=None):
         return self.alpha * total_variation(self._img(u))
 
     def prox(self, z, tau):
@@ -367,7 +426,8 @@ class SeparableSum(BregmanFunction):
     block's dual variable after every step, so the block takes
     proximal-gradient steps while the others keep their Bregman memory.  Meant
     for indicators, where 0 is a subgradient at every feasible point and the
-    certificates stay valid.
+    certificates stay valid.  The facts of block u[a:b] are a dict inside the
+    facts of u, under the key (a, b).
     """
 
     def __init__(self, parts):
@@ -396,11 +456,15 @@ class SeparableSum(BregmanFunction):
             raise ValueError(f"expected {self.size} entries, got {u.size}")
         return u
 
-    def value(self, u):
+    def block_facts(self, facts, i):
+        """The facts of block i inside the facts of the whole point, or None without."""
+        return None if facts is None else facts.setdefault(self.parts[i][1:], {})
+
+    def value(self, u, facts=None):
         u = self._flat(u)
         total = 0.0
-        for R, a, b in self.parts:
-            v = R.value(u[a:b])
+        for i, (R, a, b) in enumerate(self.parts):
+            v = R.value(u[a:b], self.block_facts(facts, i))
             if v == INF:
                 return INF
             total += v

@@ -14,8 +14,12 @@ monitors for the decrease and subgradient-bound inequalities the method
 satisfies for admissible stepsizes.
 
 Each point is evaluated once: a step evaluates E and grad E together at its
-new iterate, so a backtracking trial costs one ``value_and_grad`` call, and
-the next step and the monitors reuse what the accepted trial computed.
+new iterate, so a backtracking trial costs one ``evaluate`` call, and the
+next step and the monitors reuse what the accepted trial computed.  What an
+evaluation computes besides E and grad E (the classifier's network output,
+the singular values of R's matrix blocks) belongs to the state of its point,
+in ``SolverState.facts``, and every later reader of that point takes it from
+there.
 """
 
 from __future__ import annotations
@@ -35,14 +39,21 @@ SHRINK = 0.75
 class SmoothObjective:
     """Differentiable energy; subclasses implement ``value_and_grad``.
 
-    ``lipschitz`` may be None.  ``value`` and ``grad`` are conveniences that
-    evaluate both and keep one; the solver never calls them.
+    The solver calls ``evaluate``, which may also store byproducts of the
+    evaluation worth keeping in the facts of the point (see ``SolverState``);
+    by default it stores none.  ``lipschitz`` may be None.  ``value`` and
+    ``grad`` are conveniences that evaluate both and keep one; the solver
+    never calls them.
     """
 
     lipschitz: float | None = None
 
     def value_and_grad(self, u) -> tuple[float, np.ndarray]:
         raise NotImplementedError
+
+    def evaluate(self, u, facts: dict) -> tuple[float, np.ndarray]:
+        """E and grad E at u; an override may store byproducts in ``facts``, those of u."""
+        return self.value_and_grad(u)
 
     def value(self, u) -> float:
         return self.value_and_grad(u)[0]
@@ -53,7 +64,14 @@ class SmoothObjective:
 
 @dataclass
 class SolverState:
-    """Iterate pair (u^k, q^k) plus stepsize, counters and E, grad E at u^k."""
+    """Iterate pair (u^k, q^k) plus stepsize, counters and E, grad E at u^k.
+
+    ``facts`` holds what was computed at u^k besides E and grad E, each entry
+    under a key that names it completely: ``E.evaluate(u, facts)`` and
+    ``R.value(u, facts)`` store their byproducts there.  The first reader that
+    needs a fact stores it, and later readers of the same point take it from
+    here.  ``replace`` starts a state with no facts, since it may change u.
+    """
 
     u: np.ndarray
     q: np.ndarray | None
@@ -62,6 +80,7 @@ class SolverState:
     energy: float = NAN
     surrogate: float = NAN
     grad: np.ndarray | None = None
+    facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -135,11 +154,12 @@ def initial_state(E: SmoothObjective, R: BregmanFunction, u0, tau0: float) -> So
     """Build the k=0 state with q0 = R.initial_subgradient(u0) and F(s0) = E(u0)."""
     u0 = np.asarray(u0, dtype=np.float64)
     q0 = np.asarray(R.initial_subgradient(u0), dtype=np.float64)
-    e0, g0 = E.value_and_grad(u0)
-    e0 = float(e0)
-    return SolverState(u=u0, q=q0, tau=float(tau0), k=0, energy=e0,
-                       surrogate=surrogate_value(e0, R, u0, q0, base=u0),
-                       grad=np.asarray(g0, dtype=np.float64))
+    st = SolverState(u=u0, q=q0, tau=float(tau0))
+    e0, g0 = E.evaluate(u0, st.facts)
+    st.energy = float(e0)
+    st.grad = np.asarray(g0, dtype=np.float64)
+    st.surrogate = surrogate_value(st.energy, R, u0, q0, base=u0, facts=st.facts)
+    return st
 
 
 def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> SolverState:
@@ -156,11 +176,11 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
         q_new = (z - u_new) / st.tau
         if R.memory_mask is not None:
             q_new *= R.memory_mask
-    e_new, g_new = E.value_and_grad(u_new)
-    return SolverState(
-        u=u_new, q=q_new, tau=st.tau, k=st.k + 1,
-        energy=float(e_new), grad=np.asarray(g_new, dtype=np.float64),
-    )
+    st_new = SolverState(u=u_new, q=q_new, tau=st.tau, k=st.k + 1)
+    e_new, g_new = E.evaluate(u_new, st_new.facts)
+    st_new.energy = float(e_new)
+    st_new.grad = np.asarray(g_new, dtype=np.float64)
+    return st_new
 
 
 def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
@@ -191,15 +211,17 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
             )
 
 
-def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None) -> float:
+def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None,
+                    facts=None) -> float:
     """Surrogate objective F(x, y) = E(x) + R(x) + R*(y) - <x, y>, given E(x).
 
     When R has no conjugate evaluation, falls back to the equivalent Bregman
     form E(x) + D_R^y(x, base) for a point ``base`` with y in dR(base).
+    ``facts`` are the facts of the point x, which ``R.value`` reads and fills.
     """
     ex = float(energy)
     if R.has_conjugate:
-        rx = R.value(x)
+        rx = R.value(x, facts)
         rstar = R.conjugate_value(y)
         return ex + float(rx) + float(rstar) - float(np.vdot(np.ravel(x), np.ravel(y)).real)
     if base is None:
@@ -289,6 +311,27 @@ def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
     )
 
 
+def iterate(E: SmoothObjective, R: BregmanFunction, st: SolverState,
+            policy: BacktrackingPolicy, extras_fn=None):
+    """Yield (state, record) for every accepted step from ``st``, without end.
+
+    ``eps_decrease=None`` resolves from ``st.energy``.  Each generator owns
+    its states, so several runs may share E and R and advance in any order.
+    """
+    if policy.eps_decrease is None:
+        policy = replace(policy, eps_decrease=1e-12 * max(1.0, abs(st.energy)))
+    L = E.lipschitz
+    tau_min = st.tau
+    while True:
+        st_new = backtrack(E, R, st, policy)
+        if st_new.q is not None:
+            st_new.surrogate = surrogate_value(st_new.energy, R, st_new.u, st.q, base=st.u,
+                                               facts=st_new.facts)
+        tau_min = min(tau_min, st_new.tau)
+        yield st_new, _monitor(E, R, st_new, st, L, tau_min, extras_fn)
+        st = st_new
+
+
 def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
         policy: BacktrackingPolicy, stop: StoppingRule, extras_fn=None) -> RunResult:
     """Iterate until a stopping criterion fires; returns state, monitor log and reason.
@@ -301,34 +344,22 @@ def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
     extras_fn : callable, optional
         Maps an accepted state to a dict of extra metric columns.
     """
-    resolved_eps = policy.eps_decrease
-    if resolved_eps is None:
-        resolved_eps = 1e-12 * max(1.0, abs(st0.energy))
-    policy = replace(policy, eps_decrease=resolved_eps)
-
-    L = E.lipschitz
     records: list[MonitorRecord] = []
     st = st0
-    initial_energy = st0.energy
-    initial_surrogate = st0.surrogate
-    tau_min = st0.tau
-
     if stop.discrepancy_eta is not None and st.energy <= stop.discrepancy_eta:
-        return RunResult(st, records, "discrepancy", initial_energy, initial_surrogate, tau_min)
+        return RunResult(st, records, "discrepancy", st0.energy, st0.surrogate, st0.tau)
 
     reason = "max_iter"
+    steps = iterate(E, R, st0, policy, extras_fn)
     for _ in range(stop.max_iter):
-        st_new = backtrack(E, R, st, policy)
-        if st_new.q is not None:
-            st_new.surrogate = surrogate_value(st_new.energy, R, st_new.u, st.q, base=st.u)
-        tau_min = min(tau_min, st_new.tau)
-        records.append(_monitor(E, R, st_new, st, L, tau_min, extras_fn))
-        st = st_new
+        st, rec = next(steps)
+        records.append(rec)
         if stop.discrepancy_eta is not None and st.energy <= stop.discrepancy_eta:
             reason = "discrepancy"
             break
-        if stop.iterate_gap_tol is not None and records[-1].iterate_gap <= stop.iterate_gap_tol:
+        if stop.iterate_gap_tol is not None and rec.iterate_gap <= stop.iterate_gap_tol:
             reason = "iterate_gap"
             break
 
-    return RunResult(st, records, reason, initial_energy, initial_surrogate, tau_min)
+    tau_min = min([st0.tau] + [rec.tau for rec in records])
+    return RunResult(st, records, reason, st0.energy, st0.surrogate, tau_min)

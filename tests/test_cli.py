@@ -194,13 +194,34 @@ class TestSolverErrorExitCode:
         assert "solver error" in capsys.readouterr().err
         assert not out.exists()
 
+    # the first step overflows the TV prox argument, so no inner gap is finite
+    OVERFLOW = "problem = deconv\nheight = 8\nwidth = 8\ntau0 = 1e305\nmax_iter = 3\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_tv_prox_exits_3(self, tmp_path, capsys):
-        # the first step overflows the TV prox argument, so no inner gap is finite
-        cfg = write_cfg(tmp_path, "problem = deconv\nheight = 8\nwidth = 8\n"
-                                  "tau0 = 1e305\nmax_iter = 3\n")
-        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        cfg = write_cfg(tmp_path, self.OVERFLOW)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
         assert "solver error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_removes_the_outermost_directory_it_created(self, tmp_path):
+        cfg = write_cfg(tmp_path, self.OVERFLOW)
+        assert main(["run", cfg, "--out", str(tmp_path / "a" / "b" / "out")]) == 3
+        assert not (tmp_path / "a").exists()
+        assert (tmp_path / "exp.cfg").is_file()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_keeps_an_existing_output_directory(self, tmp_path):
+        # only what the run created goes: here the snapshots directory
+        cfg = write_cfg(tmp_path, self.OVERFLOW + "snapshots = 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
 
 
 class TestGradCheck:

@@ -301,3 +301,108 @@ def _assert_baseline_rows(path):
         for col in ("surrogate", "breg_sym", "r_norm", "rho2_bound"):
             assert rec[col] == "nan"
         assert rec["decrease_ok"] == "1" and rec["bound_ok"] == "1"
+
+
+CLASSIFIER_CFG = "problem = classifier\ntrain_n = 40\nhidden = 6\nmax_iter = 6\nseed = 2\n"
+
+
+class TestClassifierComputesOncePerPoint:
+    def test_one_forward_pass_per_evaluated_point(self, tmp_path, monkeypatch):
+        import linbreg.problems.classify as classify
+
+        calls = {"forward": 0, "evaluate": 0}
+        forward = classify._forward
+        evaluate = classify.ClassifierObjective.evaluate
+
+        def counted_forward(*args):
+            calls["forward"] += 1
+            return forward(*args)
+
+        def counted_evaluate(self, x, facts):
+            calls["evaluate"] += 1
+            return evaluate(self, x, facts)
+
+        monkeypatch.setattr(classify, "_forward", counted_forward)
+        monkeypatch.setattr(classify.ClassifierObjective, "evaluate", counted_evaluate)
+        log = run_experiment(parse_config_text(CLASSIFIER_CFG), tmp_path / "run")
+        # u0, then one evaluation per backtracking trial; prediction_rate
+        # reads the accepted trial's output from its state
+        assert calls["evaluate"] > log.iterations
+        assert calls["forward"] == calls["evaluate"]
+
+    @pytest.mark.parametrize("solver", ["linbreg", "proximal-gd", "projected-gd"])
+    def test_one_svd_per_layer_per_iterate_outside_the_prox(self, tmp_path, monkeypatch,
+                                                            solver):
+        import linbreg.regularizers as regularizers
+
+        calls = {"svd": 0, "thin": 0}
+        svd = np.linalg.svd
+        svd_thin = regularizers.svd_thin
+
+        def counted_svd(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        def counted_thin(a):
+            calls["thin"] += 1
+            return svd_thin(a)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(regularizers, "svd_thin", counted_thin)
+        cfg = parse_config_text(CLASSIFIER_CFG + f"solver = {solver}\n")
+        log = run_experiment(cfg, tmp_path / "run")
+        assert log.iterations == 6
+        # R(u) and rank_A* share one SVD per layer and point, from u0 on; the
+        # conjugate decides on the Gram matrix
+        assert calls["svd"] - calls["thin"] == 2 * (log.iterations + 1)
+
+
+class TestStateOwnsItsFacts:
+    def test_interleaved_runs_sharing_e_and_r_match_separate_runs(self):
+        # facts live on each run's states, never on the shared E or R: run b
+        # takes a whole step between run a's evaluations and a's extras, and
+        # no record of either run changes
+        from linbreg import BacktrackingPolicy, StoppingRule, initial_state, run
+        from linbreg.experiment import build_experiment
+        from linbreg.solver import iterate
+
+        built = build_experiment(parse_config_text(CLASSIFIER_CFG))
+        E, R = built.E, built.R
+        # a rank-one start keeps run b's ranks below run a's full ones
+        rank_one = [s[0] * np.outer(U[:, 0], Vt[0]) for U, s, Vt in
+                    (np.linalg.svd(A, full_matrices=False) for A in init_weights(E.shapes, 8))]
+        starts = [built.u0, E.pack(rank_one)]
+        policy = BacktrackingPolicy(tau0=1e-3)
+        stop = StoppingRule(max_iter=8)
+
+        def fresh(u0):
+            return initial_state(E, R, u0, policy.tau0)
+
+        separate = [run(E, R, fresh(u0), policy, stop, extras_fn=built.extras_fn).records
+                    for u0 in starts]
+
+        steps_b = iterate(E, R, fresh(starts[1]), policy, built.extras_fn)
+        records_b = []
+
+        def extras_a(st):
+            records_b.append(next(steps_b)[1])
+            return built.extras_fn(st)
+
+        records_a = run(E, R, fresh(starts[0]), policy, stop, extras_fn=extras_a).records
+        for got, want in zip((records_a, records_b), separate):
+            assert [repr(r) for r in got] == [repr(r) for r in want]
+        # at every step the runs differ in each column that reads a fact
+        for a, b in zip(*separate):
+            assert a.surrogate != b.surrogate
+            assert all(a.extras[c] != b.extras[c] for c in ("rank_A1", "prediction_rate"))
+
+    def test_replace_starts_a_state_without_facts(self):
+        from dataclasses import replace
+
+        from linbreg import initial_state
+        from linbreg.experiment import build_experiment
+
+        built = build_experiment(parse_config_text(CLASSIFIER_CFG))
+        st = initial_state(built.E, built.R, built.u0, 1e-3)
+        assert "output" in st.facts
+        assert replace(st, u=np.zeros_like(st.u)).facts == {}

@@ -15,6 +15,7 @@ from linbreg import (
 )
 from linbreg.pdhg import PdhgConfig, pdhg_tv_prox
 from linbreg.regularizers import (
+    FEAS_TOL,
     bregman_distance,
     fenchel_residual,
     project_simplex,
@@ -259,6 +260,110 @@ class TestProxNuclear:
         base = objective(out)
         for _ in range(200):
             assert base <= objective(out + 0.01 * rng.standard_normal((4, 3))) + 1e-12
+
+
+def _with_top_singular_value(rng, shape, smax):
+    """A seeded matrix of ``shape`` whose largest singular value is ``smax``."""
+    m, n = shape
+    p = min(m, n)
+    U, _ = np.linalg.qr(rng.standard_normal((m, p)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, p)))
+    s = np.sort(rng.uniform(0.0, 0.9, size=p))[::-1] * smax
+    s[0] = smax
+    return (U * s) @ V.T
+
+
+def _svd_decision(R, q):
+    """The conjugate as the SVD alone decides it."""
+    s = np.linalg.svd(np.asarray(q).reshape(R.shape), compute_uv=False)
+    bound = R.alpha + FEAS_TOL * (1.0 + R.alpha)
+    return 0.0 if (float(s[0]) if s.size else 0.0) <= bound else float("inf")
+
+
+class TestNuclearConjugateGram:
+    SHAPES = [(10, 30), (30, 10), (12, 12)]
+    DELTAS = [-1e-6, -1e-12, 0.0, 1e-12, 1e-6]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.5])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_decision_equals_svd_near_the_bound(self, shape, alpha, delta):
+        R = NuclearNorm(alpha, shape)
+        bound = alpha + FEAS_TOL * (1.0 + alpha)
+        for seed in range(5):
+            q = _with_top_singular_value(np.random.default_rng(seed), shape,
+                                         bound * (1.0 + delta))
+            assert R.conjugate_value(q) == _svd_decision(R, q)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.5])
+    def test_decision_equals_svd_at_alpha_as_the_prox_makes_it(self, shape, alpha):
+        # q = (z - prox(z)) / tau has top singular value alpha up to rounding
+        R = NuclearNorm(alpha, shape)
+        rng = np.random.default_rng(7)
+        for tau in (1e-3, 0.5, 3.0):
+            z = 4.0 * rng.standard_normal(shape)
+            q = (z - R.prox(z, tau)) / tau
+            assert R.conjugate_value(q) == _svd_decision(R, q) == 0.0
+
+    @pytest.mark.parametrize("shape", SHAPES + [(0, 4), (4, 0)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_zero_matrix_is_feasible(self, shape, alpha):
+        assert NuclearNorm(alpha, shape).conjugate_value(np.zeros(shape)) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_seeded_matrices_far_from_the_bound(self, alpha):
+        rng = np.random.default_rng(11)
+        for shape in self.SHAPES:
+            R = NuclearNorm(alpha, shape)
+            for scale in (1e-12, 1e-3, 0.1, 1.0, 10.0):
+                q = scale * rng.standard_normal(shape)
+                assert R.conjugate_value(q) == _svd_decision(R, q)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_svd_only_inside_the_rounding_band(self, shape, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        R = NuclearNorm(0.2, shape)
+        bound = 0.2 + FEAS_TOL * 1.2
+        rng = np.random.default_rng(3)
+        far = [_with_top_singular_value(rng, shape, bound * (1.0 + d)) for d in (-1e-6, 1e-6)]
+        at = _with_top_singular_value(rng, shape, bound)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        for q in far:
+            R.conjugate_value(q)
+        assert calls == []
+        R.conjugate_value(at)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_entries_fall_back_to_the_svd(self, monkeypatch, bad):
+        # the rounding band is not finite, so the SVD decides, as it did alone
+        q = np.ones((3, 4))
+        q[1, 2] = bad
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        def outcome(decide):
+            try:
+                return decide()
+            except np.linalg.LinAlgError as err:
+                return type(err)
+
+        R = NuclearNorm(1.0, (3, 4))
+        expected = outcome(lambda: _svd_decision(R, q))
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        assert outcome(lambda: R.conjugate_value(q)) == expected
+        assert calls == [1]
 
 
 class TestInstancesCommon:
