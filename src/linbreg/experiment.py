@@ -310,11 +310,10 @@ class _Built:
 
 
 def _image_part(cfg: ExperimentConfig, shape):
-    """TV with weight ``alpha`` on one image block, or Zero when alpha is 0.
+    """TV with weight ``alpha`` on an image block, or Zero when alpha is 0.
 
     Budget-mode inner solves: an exhausted budget returns the best iterate,
-    and the warm-started dual, kept on the instance, improves across outer
-    iterations; so every block needs its own call.
+    and the run's warm start improves it across outer iterations.
     """
     if cfg["alpha"] > 0:
         tv_cfg = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
@@ -358,9 +357,8 @@ def _build_mri(cfg: ExperimentConfig) -> _Built:
     w = np.full((N, N), cfg["w_high"])
     w[:2, :2] = cfg["w_low"]
     # real and imaginary parts of u, then of each coil map
-    R = SeparableSum([(_image_part(cfg, (N, N)), N * N) for _ in range(2)]
-                     + [(WeightedL1Dct(cfg["alpha_b"], w, (N, N)), N * N)
-                        for _ in range(2 * cfg["coils"])])
+    R = SeparableSum([(_image_part(cfg, (N, N)), N * N)] * 2
+                     + [(WeightedL1Dct(cfg["alpha_b"], w, (N, N)), N * N)] * (2 * cfg["coils"]))
     u0 = E.pack(np.full((N, N), 2.0 + 0.0j),
                 [np.ones((N, N), dtype=np.complex128) for _ in range(cfg["coils"])])
     return _Built(E, R, Zero(), u0, *_image_hooks(lambda st: np.abs(E.split(st.u)[0])))

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+# whitespace and '#' comments, then one header token (None at the end of the data)
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]\S*)?")
 
 
 def write_pgm(path, image: np.ndarray, maxval: int = 65535) -> None:
@@ -28,21 +33,17 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         raise ValueError("not a binary PGM (P5) file")
     # header = magic, width, height, maxval as whitespace-separated tokens,
     # with '#' comment lines allowed
-    tokens = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(raw[start:pos])
+    tokens, pos = [], 2
+    for _ in range(3):
+        m = _HEADER_TOKEN.match(raw, pos)
+        if m[1] is None:
+            raise ValueError("PGM header ends before width, height and maxval")
+        tokens.append(m[1])
+        pos = m.end()
     pos += 1  # single whitespace after maxval
     width, height, maxval = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    if width < 0 or height < 0:
+        raise ValueError(f"negative PGM dimensions {width} x {height}")
     if maxval not in (255, 65535):
         raise ValueError(f"unsupported maxval {maxval}")
     dtype = ">u2" if maxval == 65535 else "u1"

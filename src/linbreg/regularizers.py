@@ -3,20 +3,18 @@
 Every regularizer is a :class:`BregmanFunction` exposing
 
 * ``value(u, facts)``     -- extended-real function value,
-* ``prox(z, tau)``        -- argmin_u 0.5*||u - z||^2 + tau * R(u),
+* ``prox(z, tau, warm)``  -- argmin_u 0.5*||u - z||^2 + tau * R(u),
 * ``initial_subgradient`` -- a deterministic element of the subdifferential,
 * ``conjugate_value(q)``  -- the convex conjugate R*(q), where available.
 
-``facts`` is an optional dict of facts about the point u that the caller's
-solver state owns (see ``SolverState``): a regularizer may store what it
-computed at u there, under a key that names the fact completely, and read it
-back on a later call at the same point.  No regularizer keeps such facts on
-itself.
+``facts`` is an optional dict of facts about the point u, and ``warm`` an
+optional dict the run keeps from one prox call to the next; the caller's
+solver state owns both (see ``SolverState``).  A regularizer may store what it
+computed there, under a key that names it completely, and read it back on a
+later call.  Without them every call starts cold.
 
-Instances are immutable after construction (the one exception is the
-warm-start cache of :class:`TotalVariation2D`, see its docstring) and operate
-on arrays of any shape with the expected number of entries; outputs match the
-input's shape.
+Instances are immutable after construction and operate on arrays of any shape
+with the expected number of entries; outputs match the input's shape.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ class BregmanFunction:
     def value(self, u, facts=None) -> float:
         raise NotImplementedError
 
-    def prox(self, z, tau: float) -> np.ndarray:
+    def prox(self, z, tau: float, warm=None) -> np.ndarray:
         raise NotImplementedError
 
     def initial_subgradient(self, u) -> np.ndarray:
@@ -103,7 +101,7 @@ class Zero(BregmanFunction):
     def value(self, u, facts=None):
         return 0.0
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         return np.array(z, dtype=np.float64, copy=True)
 
     def initial_subgradient(self, u):
@@ -127,7 +125,7 @@ class SquaredL2(BregmanFunction):
         u = np.ravel(u)
         return 0.5 * self.alpha * float(np.dot(u, u))
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         return np.asarray(z, dtype=np.float64) / (1.0 + tau * self.alpha)
 
     def initial_subgradient(self, u):
@@ -149,7 +147,7 @@ class L1(BregmanFunction):
     def value(self, u, facts=None):
         return self.alpha * float(np.sum(np.abs(u)))
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         """Soft thresholding: sign(z) * max(|z| - tau * alpha, 0)."""
         lam = tau * self.alpha
         if lam < 0:
@@ -184,7 +182,7 @@ class WeightedL1Dct(BregmanFunction):
     def value(self, u, facts=None):
         return self.alpha * float(np.sum(self.weights * np.abs(dct2(self._img(u)))))
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         """Exact because the DCT is orthonormal: shrink the coefficients, transform back."""
         z = np.asarray(z, dtype=np.float64)
         coef = dct2(self._img(z))
@@ -228,7 +226,7 @@ class SimplexIndicator(BregmanFunction):
     def value(self, u, facts=None):
         return 0.0 if self._feasible(u) else INF
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         z = np.asarray(z, dtype=np.float64)
         return project_simplex(z).reshape(z.shape)
 
@@ -248,7 +246,7 @@ class NonnegativeIndicator(BregmanFunction):
     def value(self, u, facts=None):
         return 0.0 if float(np.min(np.ravel(u), initial=0.0)) >= -FEAS_TOL else INF
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         return np.maximum(np.asarray(z, dtype=np.float64), 0.0)
 
     def initial_subgradient(self, u):
@@ -327,7 +325,7 @@ class NuclearNorm(BregmanFunction):
     def value(self, u, facts=None):
         return self.alpha * float(np.sum(self.singular_values(u, facts)))
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         """Singular value soft thresholding: U max(s - tau * alpha, 0) V^T."""
         lam = tau * self.alpha
         if lam < 0:
@@ -355,19 +353,18 @@ class TotalVariation2D(BregmanFunction):
     No closed-form conjugate exists in this discretisation, so subgradient
     certification for TV relies on prox-construction optimality only.
 
-    The instance keeps the last inner dual variable and reuses it as the warm
-    start of the next prox call, cutting inner iterations when consecutive
-    arguments are close (as they are along an outer solver run).  An instance
-    should not be shared between concurrently running solvers; construct one
-    per run.
+    ``prox(z, tau, warm)`` keeps ``(lam, PdhgResult)`` of the call in
+    ``warm["tv"]`` and warm-starts the next call from that dual, rescaled to
+    the new lam, cutting inner iterations when consecutive arguments are close
+    (as they are along an outer solver run).  A call that raises keeps nothing.
 
     With ``strict=False`` an exhausted inner iteration budget returns the best
     iterate found instead of raising; a prox argument for which no inner gap
     is finite raises ``NumericsError`` either way.  The inexactness need not
     vanish along an outer run: on 32x32 blind deconvolution with
     ``maxit=400`` every warm-started call exhausted its budget, the relative
-    gap stalling at 4e-5 to 6e-5.  The stored q is then only an epsilon-subgradient of R at
-    the new iterate, and epsilon is not recorded.
+    gap stalling at 4e-5 to 6e-5.  The stored q is then only an epsilon-
+    subgradient of R at the new iterate; no log reports the gap.
     """
 
     def __init__(self, alpha: float, shape, config: pdhg.PdhgConfig | None = None,
@@ -378,8 +375,6 @@ class TotalVariation2D(BregmanFunction):
         self.shape = tuple(shape)
         self.config = config if config is not None else pdhg.PdhgConfig()
         self.strict = bool(strict)
-        self._dual = None
-        self._dual_lam = None
 
     def _img(self, u):
         return np.asarray(u, dtype=np.float64).reshape(self.shape)
@@ -387,24 +382,23 @@ class TotalVariation2D(BregmanFunction):
     def value(self, u, facts=None):
         return self.alpha * total_variation(self._img(u))
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         z = np.asarray(z, dtype=np.float64)
         lam = tau * self.alpha
-        dual0 = None
-        if self._dual is not None:
-            dual0 = self._dual
-            # the dual solution scales with the ball radius; rescale the warm
-            # start when the outer stepsize changed between calls
-            if self._dual_lam and self._dual_lam > 0 and lam > 0:
-                dual0 = dual0 * (lam / self._dual_lam)
+        last_lam, last = (warm or {}).get("tv", (None, None))
+        dual0 = None if last is None else last.dual
+        # the dual solution scales with the ball radius; rescale the warm
+        # start when the outer stepsize changed between calls
+        if last_lam and last_lam > 0 and lam > 0:
+            dual0 = dual0 * (lam / last_lam)
         try:
             res = pdhg.pdhg_tv_prox(self._img(z), lam, self.config, dual0=dual0)
         except NotConvergedError as err:
             if self.strict:
                 raise
             res = err.result
-        self._dual = res.dual
-        self._dual_lam = lam
+        if warm is not None:
+            warm["tv"] = (lam, res)
         return res.u.reshape(z.shape)
 
     def initial_subgradient(self, u):
@@ -426,8 +420,8 @@ class SeparableSum(BregmanFunction):
     block's dual variable after every step, so the block takes
     proximal-gradient steps while the others keep their Bregman memory.  Meant
     for indicators, where 0 is a subgradient at every feasible point and the
-    certificates stay valid.  The facts of block u[a:b] are a dict inside the
-    facts of u, under the key (a, b).
+    certificates stay valid.  The facts and the warm dict of block u[a:b] are
+    dicts inside those of u, under the key (a, b).
     """
 
     def __init__(self, parts):
@@ -457,7 +451,7 @@ class SeparableSum(BregmanFunction):
         return u
 
     def block_facts(self, facts, i):
-        """The facts of block i inside the facts of the whole point, or None without."""
+        """The facts (or warm dict) of block i inside those of u, or None without."""
         return None if facts is None else facts.setdefault(self.parts[i][1:], {})
 
     def value(self, u, facts=None):
@@ -470,11 +464,11 @@ class SeparableSum(BregmanFunction):
             total += v
         return total
 
-    def prox(self, z, tau):
+    def prox(self, z, tau, warm=None):
         zf = self._flat(z)
         out = np.empty_like(zf)
-        for R, a, b in self.parts:
-            out[a:b] = np.ravel(R.prox(zf[a:b], tau))
+        for i, (R, a, b) in enumerate(self.parts):
+            out[a:b] = np.ravel(R.prox(zf[a:b], tau, self.block_facts(warm, i)))
         return out.reshape(np.asarray(z).shape)
 
     def initial_subgradient(self, u):

@@ -66,11 +66,13 @@ class SmoothObjective:
 class SolverState:
     """Iterate pair (u^k, q^k) plus stepsize, counters and E, grad E at u^k.
 
-    ``facts`` holds what was computed at u^k besides E and grad E, each entry
-    under a key that names it completely: ``E.evaluate(u, facts)`` and
-    ``R.value(u, facts)`` store their byproducts there.  The first reader that
-    needs a fact stores it, and later readers of the same point take it from
-    here.  ``replace`` starts a state with no facts, since it may change u.
+    ``facts`` belong to the point u^k: what ``E.evaluate(u, facts)`` and
+    ``R.value(u, facts)`` computed there besides E and grad E, each under a key
+    that names it completely, for later readers of the point.  ``replace``
+    starts a state with no facts, since it may change u.  ``warm`` belongs to
+    the run: what ``R.prox(z, tau, warm)`` keeps for its next call, the TV
+    warm start.  Each step hands it on and ``replace`` keeps it, so two runs
+    started from one state object share one warm dict.
     """
 
     u: np.ndarray
@@ -80,6 +82,7 @@ class SolverState:
     energy: float = NAN
     surrogate: float = NAN
     grad: np.ndarray | None = None
+    warm: dict = field(default_factory=dict, repr=False, compare=False)
     facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -168,15 +171,15 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
     u_next = prox_{tau R}(u - tau * grad E(u)) and q stays None."""
     g = _checked_grad(E, st)
     if st.q is None:
-        u_new = np.asarray(R.prox(st.u - st.tau * g, st.tau), dtype=np.float64)
+        u_new = np.asarray(R.prox(st.u - st.tau * g, st.tau, st.warm), dtype=np.float64)
         q_new = None
     else:
         z = st.u + st.tau * (st.q - g)
-        u_new = np.asarray(R.prox(z, st.tau), dtype=np.float64)
+        u_new = np.asarray(R.prox(z, st.tau, st.warm), dtype=np.float64)
         q_new = (z - u_new) / st.tau
         if R.memory_mask is not None:
             q_new *= R.memory_mask
-    st_new = SolverState(u=u_new, q=q_new, tau=st.tau, k=st.k + 1)
+    st_new = SolverState(u=u_new, q=q_new, tau=st.tau, k=st.k + 1, warm=st.warm)
     e_new, g_new = E.evaluate(u_new, st_new.facts)
     st_new.energy = float(e_new)
     st_new.grad = np.asarray(g_new, dtype=np.float64)
@@ -189,9 +192,10 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
 
     Accepts the first trial with E(u_next) <= E(u) + eps_decrease; the accepted
     tau is kept for the next iteration.  Rejected trials never advance the dual
-    state: each retry re-runs the step from the same (u, q).  A trial energy of
-    +inf (an overflowing step) shrinks tau like any other rejection; a NaN
-    energy raises ``NumericsError`` at once.
+    state: each retry re-runs the step from the same (u, q), though its TV prox
+    warm-starts from the rejected trial before it (see ``SolverState``).  A
+    trial energy of +inf (an overflowing step) shrinks tau like any other
+    rejection; a NaN energy raises ``NumericsError`` at once.
     """
     eps = policy.eps_decrease
     if eps is None:

@@ -406,3 +406,122 @@ class TestStateOwnsItsFacts:
         st = initial_state(built.E, built.R, built.u0, 1e-3)
         assert "output" in st.facts
         assert replace(st, u=np.zeros_like(st.u)).facts == {}
+        # the warm start belongs to the run, not to the point
+        assert replace(st, u=np.zeros_like(st.u)).warm is st.warm
+
+
+DECONV_CFG = "problem = deconv\nheight = 12\nwidth = 12\nmax_iter = 6\n"
+
+
+class TestRunOwnsItsWarmStart:
+    @pytest.mark.parametrize("text", [
+        DECONV_CFG,
+        "problem = mri\nn = 8\n",
+        CLASSIFIER_CFG,
+        "problem = quadratic\nn = 10\n",
+    ], ids=["deconv", "mri", "classifier", "quadratic"])
+    def test_a_run_changes_neither_e_nor_r(self, text):
+        import pickle
+
+        from linbreg import BacktrackingPolicy, StoppingRule, initial_state, run
+        from linbreg.experiment import build_experiment
+
+        cfg = parse_config_text(text)
+        built = build_experiment(cfg)
+        before = pickle.dumps((built.E, built.R))
+        st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
+        result = run(built.E, built.R, st0, BacktrackingPolicy(tau0=cfg["tau0"]),
+                     StoppingRule(max_iter=5), extras_fn=built.extras_fn)
+        assert len(result.records) == 5
+        assert pickle.dumps((built.E, built.R)) == before
+
+    def test_interleaved_deconv_runs_sharing_one_tv_match_separate_runs(self):
+        # run b takes a whole step between run a's steps; each run warm-starts
+        # the shared TotalVariation2D from its own states only
+        from linbreg import BacktrackingPolicy, StoppingRule, initial_state, run
+        from linbreg.experiment import build_experiment
+        from linbreg.solver import iterate
+
+        cfg = parse_config_text(DECONV_CFG)
+        built = build_experiment(cfg)
+        E, R = built.E, built.R
+        image, kernel = E.split(built.u0)
+        starts = [built.u0, E.pack(image + 0.5, kernel)]
+        policy = BacktrackingPolicy(tau0=cfg["tau0"])
+        stop = StoppingRule(max_iter=cfg["max_iter"])
+
+        def fresh(u0):
+            return initial_state(E, R, u0, policy.tau0)
+
+        separate = [run(E, R, fresh(u0), policy, stop, extras_fn=built.extras_fn).records
+                    for u0 in starts]
+
+        steps_b = iterate(E, R, fresh(starts[1]), policy, built.extras_fn)
+        records_b = []
+
+        def extras_a(st):
+            records_b.append(next(steps_b)[1])
+            return built.extras_fn(st)
+
+        records_a = run(E, R, fresh(starts[0]), policy, stop, extras_fn=extras_a).records
+        for got, want in zip((records_a, records_b), separate):
+            assert [repr(r) for r in got] == [repr(r) for r in want]
+        for a, b in zip(*separate):
+            assert a.energy != b.energy and a.extras["tv_value"] != b.extras["tv_value"]
+
+    def test_mri_blocks_share_one_tv_and_keep_separate_warm_records(self):
+        from linbreg import BacktrackingPolicy, StoppingRule, TotalVariation2D, initial_state, run
+        from linbreg.experiment import build_experiment
+
+        cfg = parse_config_text("problem = mri\nn = 8\n")
+        built = build_experiment(cfg)
+        (re_part, a, b), (im_part, c, d) = built.R.parts[:2]
+        assert isinstance(re_part, TotalVariation2D) and re_part is im_part
+        st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
+        st = run(built.E, built.R, st0, BacktrackingPolicy(tau0=cfg["tau0"]),
+                 StoppingRule(max_iter=2)).state
+        re_rec, im_rec = st.warm[(a, b)]["tv"], st.warm[(c, d)]["tv"]
+        assert re_rec is not im_rec
+        assert not np.array_equal(re_rec[1].dual, im_rec[1].dual)
+
+    def test_strict_tv_exhausted_raises_and_keeps_the_last_record(self):
+        # fault injection: a strict TV whose inner budget runs out raises
+        # NotConvergedError, and the raising call writes no warm record
+        from linbreg import (
+            BacktrackingPolicy,
+            NotConvergedError,
+            PdhgConfig,
+            SeparableSum,
+            SimplexIndicator,
+            StoppingRule,
+            TotalVariation2D,
+            initial_state,
+            run,
+        )
+        from linbreg.experiment import build_experiment
+
+        cfg = parse_config_text(DECONV_CFG)
+        built = build_experiment(cfg)
+        E = built.E
+
+        def deconv_r(strict):
+            tv = TotalVariation2D(cfg["alpha"], E.image_shape, PdhgConfig(maxit=3),
+                                  strict=strict)
+            return SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel, False)])
+
+        policy = BacktrackingPolicy(tau0=cfg["tau0"])
+        strict = deconv_r(True)
+        st0 = initial_state(E, strict, built.u0, cfg["tau0"])
+        with pytest.raises(NotConvergedError) as info:
+            run(E, strict, st0, policy, StoppingRule(max_iter=3))
+        assert np.isfinite(info.value.result.gap) and info.value.result.iters == 3
+        assert "tv" not in st0.warm.get((0, E.n_image), {})
+
+        # after three budget-mode steps, the strict call keeps their last record
+        st = run(E, deconv_r(False), st0, policy, StoppingRule(max_iter=3)).state
+        last = st.warm[(0, E.n_image)]["tv"]
+        assert last[1].iters == 3
+        with pytest.raises(NotConvergedError) as info:
+            run(E, strict, st, policy, StoppingRule(max_iter=3))
+        assert np.isfinite(info.value.result.gap) and info.value.result.iters == 3
+        assert st.warm[(0, E.n_image)]["tv"] is last

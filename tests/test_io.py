@@ -33,6 +33,28 @@ class TestPgm:
         with pytest.raises(ValueError):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header", [b"P5\n-1 1\n255\n", b"P5\n-2 2\n255\n",
+                                        b"P5\n2 -3\n255\n"])
+    def test_rejects_negative_dimensions(self, tmp_path, header):
+        # 6 pixel bytes are enough for any shape a negative product could take
+        p = tmp_path / "x.pgm"
+        p.write_bytes(header + bytes(6))
+        with pytest.raises(ValueError, match="negative"):
+            read_pgm(p)
+
+    @pytest.mark.parametrize("raw", [b"P5", b"P5\n4", b"P5\n4 4", b"P5\n4 4\n# no maxval"])
+    def test_rejects_header_cut_short(self, tmp_path, raw):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(raw)
+        with pytest.raises(ValueError, match="header ends"):
+            read_pgm(p)
+
+    def test_rejects_truncated_pixels(self, tmp_path):
+        p = tmp_path / "x.pgm"
+        p.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+        with pytest.raises(ValueError):
+            read_pgm(p)
+
     def test_header_comments_allowed(self, tmp_path):
         p = tmp_path / "c.pgm"
         p.write_bytes(b"P5\n# a comment\n2 1\n255\n" + bytes([7, 9]))

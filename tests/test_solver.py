@@ -1,17 +1,22 @@
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import linbreg.solver
 from linbreg import (
     L1,
     BacktrackingPolicy,
+    NonnegativeIndicator,
+    NuclearNorm,
     SeparableSum,
     SimplexIndicator,
     SquaredL2,
     StagnationError,
     StoppingRule,
+    WeightedL1Dct,
     Zero,
     initial_state,
     linbreg_step,
@@ -537,3 +542,64 @@ class TestGradientDescentEquivalence:
             diff = M @ diff
             closed = u_star + diff
             assert np.abs(st.u - closed).max() <= 1e-13 * max(1.0, np.abs(closed).max())
+
+
+def _certified_instance(kind: str, seed: int):
+    """(R, u0) for a regularizer with a conjugate, u0 in dom(R), on 12 entries."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(12)
+    h = rng.uniform(0.1, 1.0, size=12)
+    if kind == "zero":
+        return Zero(), u
+    if kind == "squared-l2":
+        return SquaredL2(0.7), u
+    if kind == "l1":
+        return L1(0.3), u
+    if kind == "weighted-l1-dct":
+        return WeightedL1Dct(0.3, rng.uniform(0.0, 2.0, size=(3, 4)), (3, 4)), u
+    if kind == "nonnegative":
+        return NonnegativeIndicator(), np.abs(u)
+    if kind == "simplex":
+        return SimplexIndicator(), h / h.sum()
+    if kind == "nuclear":
+        return NuclearNorm(0.4, (4, 3)), u
+    # two blocks: l1 and a simplex
+    return (SeparableSum([(L1(0.3), 6), (SimplexIndicator(), 6)]),
+            np.concatenate([u[:6], h[6:] / h[6:].sum()]))
+
+
+CERTIFIED_KINDS = ["zero", "squared-l2", "l1", "weighted-l1-dct", "nonnegative",
+                   "simplex", "nuclear", "separable-sum"]
+
+
+class TestCertificateProperties:
+    """On seeded quadratics with known L and tau0 <= 1/L, every record's
+    decrease and bound flags hold, for every regularizer with a conjugate."""
+
+    @pytest.mark.parametrize("kind", CERTIFIED_KINDS)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(seed=strategies.integers(0, 2**16), L=strategies.floats(0.5, 4.0),
+           # below about 1e-5 / L rounding in q = (z - u) / tau trips the
+           # flags (see test_tiny_stepsize_trips_the_decrease_flag)
+           tau_frac=strategies.floats(1e-3, 1.0), backtracking=strategies.booleans())
+    def test_flags_hold(self, kind, seed, L, tau_frac, backtracking):
+        t0 = time.perf_counter()
+        E = random_psd_quadratic(seed, 12, L=L)
+        assert E.lipschitz == L
+        R, u0 = _certified_instance(kind, seed)
+        tau0 = tau_frac / L
+        policy = BacktrackingPolicy(tau0=tau0, eps_decrease=None if backtracking else np.inf)
+        result = run(E, R, initial_state(E, R, u0, tau0), policy, StoppingRule(max_iter=60))
+        assert len(result.records) == 60
+        assert all(rec.decrease_ok and rec.bound_ok for rec in result.records)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.xfail(strict=True, reason="the decrease check's tolerances do not "
+                       "scale with the rounding error of q, which grows like 1/tau")
+    def test_tiny_stepsize_trips_the_decrease_flag(self):
+        E = random_psd_quadratic(0, 12, L=2.0)
+        R, u0 = _certified_instance("nuclear", 0)
+        tau0 = 1e-6 / 2.0
+        result = run(E, R, initial_state(E, R, u0, tau0),
+                     BacktrackingPolicy(tau0=tau0, eps_decrease=np.inf), StoppingRule(max_iter=60))
+        assert all(rec.decrease_ok for rec in result.records)
