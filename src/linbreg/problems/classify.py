@@ -225,15 +225,15 @@ class ClassifierObjective(SmoothObjective):
     def pack(self, As):
         return np.concatenate([np.ravel(A) for A in As])
 
-    def evaluate(self, x, facts):
-        """E and grad E at x; stores the network output on D as the fact ``"output"``."""
-        value, grads, facts["output"] = _energy_grad_output(
+    def value_and_grad(self, x, facts=None):
+        """E and grad E at x; given ``facts``, stores the network output on D there
+        as the fact ``"output"``."""
+        value, grads, output = _energy_grad_output(
             self.split(x), self.p.D, self.p.Y, self.activation,
             self.p.loss_kind, self.p.loss_eps, self.p.eps)
+        if facts is not None:
+            facts["output"] = output
         return value, self.pack(grads)
-
-    def value_and_grad(self, x):
-        return self.evaluate(x, {})
 
 
 def init_weights(shapes, seed: int):

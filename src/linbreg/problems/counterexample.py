@@ -17,7 +17,7 @@ class ShiftedParabola(SmoothObjective):
 
     lipschitz = 1.0
 
-    def value_and_grad(self, u):
+    def value_and_grad(self, u, facts=None):
         x = float(np.ravel(u)[0])
         return 0.5 * (x + 1.0) ** 2, np.asarray(u, dtype=np.float64) + 1.0
 

@@ -60,7 +60,7 @@ class BlindDeconvObjective(SmoothObjective):
     def pack(self, u, h):
         return np.concatenate([np.ravel(u), np.ravel(h)])
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, facts=None):
         u, h = self.split(x)
         r = conv2d_periodic(u, h) - self.f
         gu = conv2d_periodic_adjoint(r, h)

@@ -135,7 +135,7 @@ class ParallelMriObjective(SmoothObjective):
             parts.append(np.imag(b).ravel())
         return np.concatenate(parts)
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, facts=None):
         u, bs = self.split(x)
         value, gu, gbs = mri_energy_grad(u, bs, self.mask, self.data, self.eps)
         return value, self.pack(gu, gbs)

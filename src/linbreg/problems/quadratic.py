@@ -20,7 +20,7 @@ class QuadraticObjective(SmoothObjective):
             lipschitz = float(np.max(np.linalg.eigvalsh(0.5 * (self.A + self.A.T))))
         self.lipschitz = lipschitz
 
-    def value_and_grad(self, u):
+    def value_and_grad(self, u, facts=None):
         shape = np.asarray(u).shape
         u = np.ravel(u)
         return (0.5 * float(u @ self.A @ u) - float(self.b @ u) + self.c,
@@ -35,7 +35,7 @@ class LeastSquares(SmoothObjective):
     def __init__(self, f):
         self.f = np.asarray(f, dtype=np.float64)
 
-    def value_and_grad(self, u):
+    def value_and_grad(self, u, facts=None):
         d = np.ravel(u) - np.ravel(self.f)
         return 0.5 * float(d @ d), d.reshape(np.shape(u))
 

@@ -13,10 +13,10 @@ indicator.  The module also provides the energy-backtracking stepsize rule and
 monitors for the decrease and subgradient-bound inequalities the method
 satisfies for admissible stepsizes.
 
-Each point is evaluated once: a step evaluates E and grad E together at its
-new iterate, so a backtracking trial costs one ``evaluate`` call, and the
-next step and the monitors reuse what the accepted trial computed.  What an
-evaluation computes besides E and grad E (the classifier's network output,
+Each point is evaluated once: every state is built at an evaluated point, so
+the start costs one ``value_and_grad`` call and so does each backtracking
+trial, and the next step and the monitors reuse what the accepted trial
+computed.  What an evaluation computes besides E and grad E (the classifier's network output,
 the singular values of R's matrix blocks) belongs to the state of its point,
 in ``SolverState.facts``, and every later reader of that point takes it from
 there.
@@ -37,36 +37,27 @@ SHRINK = 0.75
 
 
 class SmoothObjective:
-    """Differentiable energy; subclasses implement ``value_and_grad``.
+    """Differentiable energy; subclasses implement ``value_and_grad(u, facts=None)``.
 
-    The solver calls ``evaluate``, which may also store byproducts of the
-    evaluation worth keeping in the facts of the point (see ``SolverState``);
-    by default it stores none.  ``lipschitz`` may be None.  ``value`` and
-    ``grad`` are conveniences that evaluate both and keep one; the solver
-    never calls them.
+    It returns E(u) and grad E(u).  Given the facts of the point u (see
+    ``SolverState``), it may store there what it computed besides them, as
+    ``R.value(u, facts)`` does; without facts it stores nothing.
+    ``lipschitz`` may be None.
     """
 
     lipschitz: float | None = None
 
-    def value_and_grad(self, u) -> tuple[float, np.ndarray]:
+    def value_and_grad(self, u, facts=None) -> tuple[float, np.ndarray]:
         raise NotImplementedError
-
-    def evaluate(self, u, facts: dict) -> tuple[float, np.ndarray]:
-        """E and grad E at u; an override may store byproducts in ``facts``, those of u."""
-        return self.value_and_grad(u)
-
-    def value(self, u) -> float:
-        return self.value_and_grad(u)[0]
-
-    def grad(self, u) -> np.ndarray:
-        return self.value_and_grad(u)[1]
 
 
 @dataclass
 class SolverState:
-    """Iterate pair (u^k, q^k) plus stepsize, counters and E, grad E at u^k.
+    """Iterate pair (u^k, q^k) plus stepsize, counter and E, grad E at u^k.
 
-    ``facts`` belong to the point u^k: what ``E.evaluate(u, facts)`` and
+    Every state is an evaluated point: ``energy`` and ``grad`` are required,
+    and the solver builds its states with one ``E.value_and_grad`` call each.
+    ``facts`` belong to the point u^k: what ``E.value_and_grad(u, facts)`` and
     ``R.value(u, facts)`` computed there besides E and grad E, each under a key
     that names it completely, for later readers of the point.  ``replace``
     starts a state with no facts, since it may change u.  ``warm`` belongs to
@@ -78,10 +69,10 @@ class SolverState:
     u: np.ndarray
     q: np.ndarray | None
     tau: float
+    energy: float
+    grad: np.ndarray
     k: int = 0
-    energy: float = NAN
     surrogate: float = NAN
-    grad: np.ndarray | None = None
     warm: dict = field(default_factory=dict, repr=False, compare=False)
     facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -103,7 +94,7 @@ class StoppingRule:
 class BacktrackingPolicy:
     """Initial stepsize and the decrease slack; failed trials shrink tau by ``SHRINK``.
 
-    ``eps_decrease=None`` resolves to 1e-12 * max(1, |E(u0)|) at run start;
+    ``eps_decrease=None`` resolves to 1e-12 * max(1, |E(u0)|) in ``iterate``;
     ``eps_decrease=inf`` disables backtracking (fixed stepsize).
     """
 
@@ -141,26 +132,29 @@ class RunResult:
     state: SolverState
     records: list
     stop_reason: str
-    initial_energy: float = NAN
-    initial_surrogate: float = NAN
-    tau_min: float = NAN
 
 
-def _checked_grad(E: SmoothObjective, st: SolverState) -> np.ndarray:
-    g = st.grad if st.grad is not None else E.value_and_grad(st.u)[1]
-    if not np.all(np.isfinite(g)):
+def _checked_grad(st: SolverState) -> np.ndarray:
+    if not np.all(np.isfinite(st.grad)):
         raise NumericsError(f"non-finite gradient at iteration {st.k}")
-    return np.asarray(g, dtype=np.float64)
+    return st.grad
+
+
+def _evaluated(E: SmoothObjective, u, q, tau: float, k: int, warm: dict) -> SolverState:
+    """The state at u, with E, grad E and their byproducts from one evaluation."""
+    facts = {}
+    energy, grad = E.value_and_grad(u, facts)
+    st = SolverState(u=u, q=q, tau=tau, energy=float(energy),
+                     grad=np.asarray(grad, dtype=np.float64), k=k, warm=warm)
+    st.facts = facts
+    return st
 
 
 def initial_state(E: SmoothObjective, R: BregmanFunction, u0, tau0: float) -> SolverState:
     """Build the k=0 state with q0 = R.initial_subgradient(u0) and F(s0) = E(u0)."""
     u0 = np.asarray(u0, dtype=np.float64)
     q0 = np.asarray(R.initial_subgradient(u0), dtype=np.float64)
-    st = SolverState(u=u0, q=q0, tau=float(tau0))
-    e0, g0 = E.evaluate(u0, st.facts)
-    st.energy = float(e0)
-    st.grad = np.asarray(g0, dtype=np.float64)
+    st = _evaluated(E, u0, q0, float(tau0), 0, {})
     st.surrogate = surrogate_value(st.energy, R, u0, q0, base=u0, facts=st.facts)
     return st
 
@@ -169,7 +163,7 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
     """One linearised Bregman step; the new q is the exact prox subgradient, zeroed
     where ``R.memory_mask`` is 0.  From ``q = None`` it takes the baseline step
     u_next = prox_{tau R}(u - tau * grad E(u)) and q stays None."""
-    g = _checked_grad(E, st)
+    g = _checked_grad(st)
     if st.q is None:
         u_new = np.asarray(R.prox(st.u - st.tau * g, st.tau, st.warm), dtype=np.float64)
         q_new = None
@@ -179,31 +173,25 @@ def linbreg_step(E: SmoothObjective, R: BregmanFunction, st: SolverState) -> Sol
         q_new = (z - u_new) / st.tau
         if R.memory_mask is not None:
             q_new *= R.memory_mask
-    st_new = SolverState(u=u_new, q=q_new, tau=st.tau, k=st.k + 1, warm=st.warm)
-    e_new, g_new = E.evaluate(u_new, st_new.facts)
-    st_new.energy = float(e_new)
-    st_new.grad = np.asarray(g_new, dtype=np.float64)
-    return st_new
+    return _evaluated(E, u_new, q_new, st.tau, st.k + 1, st.warm)
 
 
 def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
               policy: BacktrackingPolicy) -> SolverState:
     """Retry the step with tau shrunk by ``SHRINK`` until the energy check holds.
 
-    Accepts the first trial with E(u_next) <= E(u) + eps_decrease; the accepted
-    tau is kept for the next iteration.  Rejected trials never advance the dual
-    state: each retry re-runs the step from the same (u, q), though its TV prox
-    warm-starts from the rejected trial before it (see ``SolverState``).  A
-    trial energy of +inf (an overflowing step) shrinks tau like any other
-    rejection; a NaN energy raises ``NumericsError`` at once.
+    Accepts the first trial with E(u_next) <= E(u) + eps_decrease, which must
+    be a number (``iterate`` resolves None); the accepted tau is kept for the
+    next iteration.  Rejected trials never advance the dual state: each retry
+    re-runs the step from the same (u, q), though its TV prox warm-starts from
+    the rejected trial before it (see ``SolverState``).  A trial energy of +inf
+    (an overflowing step) shrinks tau like any other rejection; a NaN energy
+    raises ``NumericsError`` at once.
     """
-    eps = policy.eps_decrease
-    if eps is None:
-        eps = 1e-12 * max(1.0, abs(st.energy))
     tau = st.tau
     while True:
         trial = linbreg_step(E, R, replace(st, tau=tau))
-        if trial.energy <= st.energy + eps:
+        if trial.energy <= st.energy + policy.eps_decrease:
             return trial
         if np.isnan(trial.energy):
             raise NumericsError(f"NaN energy at iteration {st.k} with tau = {tau:g}")
@@ -234,13 +222,11 @@ def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None,
     return ex + bregman_distance(R, x, base, y)
 
 
-def surrogate_subgradient(E: SmoothObjective, st: SolverState,
-                          prev: SolverState | None) -> np.ndarray:
+def surrogate_subgradient(st: SolverState, prev: SolverState | None) -> np.ndarray:
     """The canonical subgradient of F at s^k: (grad E(u^k) + q^k - q^{k-1}, u^{k-1} - u^k)."""
     if prev is None or prev.q is None or st.q is None:
         raise ValueError("surrogate subgradient needs two consecutive states with a dual variable")
-    g = _checked_grad(E, st)
-    top = np.ravel(g) + np.ravel(st.q) - np.ravel(prev.q)
+    top = np.ravel(_checked_grad(st)) + np.ravel(st.q) - np.ravel(prev.q)
     bottom = np.ravel(prev.u) - np.ravel(st.u)
     return np.concatenate([top, bottom])
 
@@ -277,7 +263,7 @@ def check_sufficient_decrease(records, L: float, initial_surrogate: float,
     return DecreaseReport(checked=len(records), violations=violations, max_violation=worst)
 
 
-def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
+def _monitor(st_new: SolverState, st_old: SolverState, L, tau_min,
              extras_fn=None) -> MonitorRecord:
     """Fill a MonitorRecord for an accepted step st_old -> st_new whose surrogate is set;
     linbreg only fields degrade to NaN for the baselines, which carry no dual variable."""
@@ -285,7 +271,7 @@ def _monitor(E, R, st_new: SolverState, st_old: SolverState, L, tau_min,
 
     if st_new.q is not None:
         breg_sym = symmetric_bregman_distance(st_new.u, st_old.u, st_new.q, st_old.q)
-        r = surrogate_subgradient(E, st_new, st_old)
+        r = surrogate_subgradient(st_new, st_old)
         r_norm = float(np.linalg.norm(r))
     else:
         breg_sym = NAN
@@ -319,7 +305,8 @@ def iterate(E: SmoothObjective, R: BregmanFunction, st: SolverState,
             policy: BacktrackingPolicy, extras_fn=None):
     """Yield (state, record) for every accepted step from ``st``, without end.
 
-    ``eps_decrease=None`` resolves from ``st.energy``.  Each generator owns
+    ``eps_decrease=None`` resolves here, and only here, to
+    1e-12 * max(1, |E|) at the start state ``st``.  Each generator owns
     its states, so several runs may share E and R and advance in any order.
     """
     if policy.eps_decrease is None:
@@ -332,7 +319,7 @@ def iterate(E: SmoothObjective, R: BregmanFunction, st: SolverState,
             st_new.surrogate = surrogate_value(st_new.energy, R, st_new.u, st.q, base=st.u,
                                                facts=st_new.facts)
         tau_min = min(tau_min, st_new.tau)
-        yield st_new, _monitor(E, R, st_new, st, L, tau_min, extras_fn)
+        yield st_new, _monitor(st_new, st, L, tau_min, extras_fn)
         st = st_new
 
 
@@ -351,7 +338,7 @@ def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
     records: list[MonitorRecord] = []
     st = st0
     if stop.discrepancy_eta is not None and st.energy <= stop.discrepancy_eta:
-        return RunResult(st, records, "discrepancy", st0.energy, st0.surrogate, st0.tau)
+        return RunResult(st, records, "discrepancy")
 
     reason = "max_iter"
     steps = iterate(E, R, st0, policy, extras_fn)
@@ -364,6 +351,4 @@ def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
         if stop.iterate_gap_tol is not None and rec.iterate_gap <= stop.iterate_gap_tol:
             reason = "iterate_gap"
             break
-
-    tau_min = min([st0.tau] + [rec.tau for rec in records])
-    return RunResult(st, records, reason, st0.energy, st0.surrogate, tau_min)
+    return RunResult(st, records, reason)

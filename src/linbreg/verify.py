@@ -28,7 +28,8 @@ class FdCheckReport:
 
 def finite_difference_gradient_check(E, u, step: float | None = None,
                                      n_coords: int = 10, seed: int = 0) -> FdCheckReport:
-    """Compare E.grad(u) against central differences on random coordinates.
+    """Compare the gradient ``E.value_and_grad`` returns at u against central
+    differences of the values it returns, on random coordinates.
 
     The per-coordinate error is |fd - g| / (1 + |fd| + |g|), i.e. relative for
     O(1) gradients and absolute near zero.
@@ -40,15 +41,15 @@ def finite_difference_gradient_check(E, u, step: float | None = None,
     rng = np.random.default_rng(seed)
     n = flat.size
     coords = rng.choice(n, size=min(n_coords, n), replace=False)
-    g = np.ravel(E.grad(u))
+    g = np.ravel(E.value_and_grad(u)[1])
 
     worst = -1.0
     worst_i = -1
     for i in coords:
         e = np.zeros(n)
         e[i] = step
-        ep = float(E.value((flat + e).reshape(u.shape)))
-        em = float(E.value((flat - e).reshape(u.shape)))
+        ep = float(E.value_and_grad((flat + e).reshape(u.shape))[0])
+        em = float(E.value_and_grad((flat - e).reshape(u.shape))[0])
         if not (np.isfinite(ep) and np.isfinite(em)):
             raise NumericsError(f"non-finite energy while perturbing coordinate {i}")
         fd = (ep - em) / (2.0 * step)

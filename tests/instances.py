@@ -35,7 +35,7 @@ def make_instance(kind: str, seed: int = 0):
 
 
 def run_instance(kind: str, iters: int, seed: int = 0, rho1_factor: float = 0.25):
-    """Run with the fixed admissible stepsize; returns (E, R, result, tau, rho1)."""
+    """Run with the fixed admissible stepsize; returns (E, R, st0, result, tau, rho1)."""
     E, R, u0 = make_instance(kind, seed)
     L = E.lipschitz
     rho1 = rho1_factor * L
@@ -43,4 +43,4 @@ def run_instance(kind: str, iters: int, seed: int = 0, rho1_factor: float = 0.25
     st0 = initial_state(E, R, u0, tau)
     policy = BacktrackingPolicy(tau0=tau, eps_decrease=float("inf"))
     result = run(E, R, st0, policy, StoppingRule(max_iter=iters))
-    return E, R, result, tau, rho1
+    return E, R, st0, result, tau, rho1

@@ -87,18 +87,19 @@ def test_criterion_01_gradient_descent_equivalence():
 
 @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
 def test_criterion_02_sufficient_decrease_audit(kind):
-    E, _, result, tau, rho1 = run_instance(kind, 500, seed=10)
+    E, _, st0, result, tau, rho1 = run_instance(kind, 500, seed=10)
     assert tau == pytest.approx(2.0 / (E.lipschitz + 2.0 * rho1), rel=1e-15)
     report = check_sufficient_decrease(result.records, E.lipschitz,
-                                       result.initial_surrogate, rtol=1e-10)
+                                       st0.surrogate, rtol=1e-10)
     assert report.checked == 500
     assert report.violations == []
 
 
 @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
 def test_criterion_03_subgradient_bound_audit(kind):
-    E, _, result, _, _ = run_instance(kind, 500, seed=10)
-    rho2 = 1.0 + E.lipschitz + 1.0 / result.tau_min
+    E, _, st0, result, _, _ = run_instance(kind, 500, seed=10)
+    tau_min = min([st0.tau] + [rec.tau for rec in result.records])
+    rho2 = 1.0 + E.lipschitz + 1.0 / tau_min
     for rec in result.records:
         bound = rho2 * rec.iterate_gap
         assert rec.r_norm <= bound * (1.0 + 1e-9) + 1e-12
@@ -114,7 +115,7 @@ def test_criterion_04_step_identity_audit(kind):
     for _ in range(200):
         st_new = linbreg_step(E, R, st)
         delta = st_new.u - st.u
-        lhs = -float(E.grad(st.u) @ delta)
+        lhs = -float(E.value_and_grad(st.u)[1] @ delta)
         rhs = float(delta @ delta) / tau + symmetric_bregman_distance(
             st_new.u, st.u, st_new.q, st.q)
         assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
@@ -392,7 +393,7 @@ def test_criterion_10_mri_sanity():
     x = E.pack(prob.u_true, prob.b_true)
     eps_terms = 0.5 * eps * (float(np.sum(np.abs(prob.u_true) ** 2))
                              + sum(float(np.sum(np.abs(b) ** 2)) for b in prob.b_true))
-    assert E.value(x) - eps_terms <= 1e-12
+    assert E.value_and_grad(x)[0] - eps_terms <= 1e-12
 
     frac = make_mask("spiral", 64).mean()
     assert 0.20 <= frac <= 0.30

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,29 @@ class TestSolverErrorExitCode:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "solver error" in capsys.readouterr().err
 
+
+    def test_nan_gradient_from_third_evaluation_exits_3_without_output(
+            self, tmp_path, capsys, monkeypatch):
+        # a real run, not a stubbed one: the energy turns bad mid-run
+        from linbreg.problems.quadratic import QuadraticObjective
+
+        value_and_grad = QuadraticObjective.value_and_grad
+        calls = []
+
+        def nan_from_third_call(self, u, facts=None):
+            calls.append(1)
+            value, g = value_and_grad(self, u, facts)
+            return value, (np.full_like(g, np.nan) if len(calls) >= 3 else g)
+
+        monkeypatch.setattr(QuadraticObjective, "value_and_grad", nan_from_third_call)
+        t0 = time.perf_counter()
+        cfg = write_cfg(tmp_path, QUAD)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 3
+        assert "non-finite gradient at iteration 2" in capsys.readouterr().err
+        assert len(calls) == 3
+        assert not out.exists()
+        assert time.perf_counter() - t0 < 1.0
 
     def test_kl_domain_error_at_u0_exits_3_without_output(self, tmp_path, capsys):
         # the smooth-max output at u0 leaves the shifted KL domain for this eps

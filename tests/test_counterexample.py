@@ -27,7 +27,7 @@ class TestCounterexample:
         assert t.final_grad_norm == pytest.approx(1.0, abs=0.0)
         # the energy's only critical point, -1, is outside the feasible set
         E = ShiftedParabola()
-        assert E.grad(np.array([-1.0]))[0] == 0.0
+        assert E.value_and_grad(np.array([-1.0]))[1][0] == 0.0
 
     def test_requires_positive_start(self):
         with pytest.raises(ValueError):

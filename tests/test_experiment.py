@@ -278,7 +278,7 @@ class TestRunExperiment:
         (E, st0, result), = calls
         tau = result.records[0].tau
         u, h = E.split(st0.u)
-        gu, gh = E.split(E.grad(st0.u))
+        gu, gh = E.split(E.value_and_grad(st0.u)[1])
         expected = E.pack(u - tau * gu, project_simplex(h - tau * gh))
         assert np.array_equal(result.state.u, expected)
 
@@ -312,18 +312,19 @@ class TestClassifierComputesOncePerPoint:
 
         calls = {"forward": 0, "evaluate": 0}
         forward = classify._forward
-        evaluate = classify.ClassifierObjective.evaluate
+        value_and_grad = classify.ClassifierObjective.value_and_grad
 
         def counted_forward(*args):
             calls["forward"] += 1
             return forward(*args)
 
-        def counted_evaluate(self, x, facts):
-            calls["evaluate"] += 1
-            return evaluate(self, x, facts)
+        def counted_value_and_grad(self, x, facts=None):
+            calls["evaluate"] += facts is not None
+            return value_and_grad(self, x, facts)
 
         monkeypatch.setattr(classify, "_forward", counted_forward)
-        monkeypatch.setattr(classify.ClassifierObjective, "evaluate", counted_evaluate)
+        monkeypatch.setattr(classify.ClassifierObjective, "value_and_grad",
+                            counted_value_and_grad)
         log = run_experiment(parse_config_text(CLASSIFIER_CFG), tmp_path / "run")
         # u0, then one evaluation per backtracking trial; prediction_rate
         # reads the accepted trial's output from its state

@@ -1,5 +1,5 @@
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from linbreg.regularizers import (
     symmetric_bregman_distance,
 )
 from linbreg.solver import (
+    RunResult,
     SmoothObjective,
     SolverState,
     backtrack,
@@ -49,7 +50,7 @@ class TestLinbregStep:
         E = LeastSquares(f)
         st = initial_state(E, Zero(), np.zeros(6), tau0=0.4)
         for _ in range(10):
-            st_gd = st.u - 0.4 * E.grad(st.u)
+            st_gd = st.u - 0.4 * E.value_and_grad(st.u)[1]
             st = linbreg_step(E, Zero(), st)
             assert np.allclose(st.u, st_gd, atol=1e-15)
             assert np.array_equal(st.q, np.zeros(6))
@@ -75,17 +76,17 @@ class TestLinbregStep:
         q0 = st.q.copy()
         grad_sum = np.zeros(8)
         for _ in range(10):
-            grad_sum += E.grad(st.u)
+            grad_sum += E.value_and_grad(st.u)[1]
             st = linbreg_step(E, R, st)
             aggregate = R.prox(u0 + tau * q0 - tau * grad_sum, tau)
             assert np.abs(st.u - aggregate).max() < 1e-10
 
     def test_non_finite_gradient_aborts(self):
         class Bad(SmoothObjective):
-            def value_and_grad(self, u):
+            def value_and_grad(self, u, facts=None):
                 return 0.0, np.full_like(np.asarray(u), np.nan)
 
-        st = SolverState(u=np.zeros(3), q=np.zeros(3), tau=1.0, energy=0.0)
+        st = initial_state(Bad(), Zero(), np.zeros(3), tau0=1.0)
         with pytest.raises(NumericsError):
             linbreg_step(Bad(), Zero(), st)
 
@@ -94,7 +95,7 @@ class TestProjectedGradientStep:
     def test_fixed_point_at_feasible_stationary_point(self):
         c = np.array([0.2, 0.3, 0.5])
         E = LeastSquares(c)
-        st = SolverState(u=c.copy(), q=None, tau=1.0, energy=E.value(c))
+        st = replace(initial_state(E, SimplexIndicator(), c.copy(), tau0=1.0), q=None)
         st1 = linbreg_step(E, SimplexIndicator(), st)
         assert np.allclose(st1.u, c, atol=1e-12)
 
@@ -102,7 +103,7 @@ class TestProjectedGradientStep:
         c = np.array([2.0, 0.0, -1.0])
         E = LeastSquares(c)
         h0 = np.full(3, 1.0 / 3.0)
-        st = SolverState(u=h0, q=None, tau=1.0, energy=E.value(h0))
+        st = replace(initial_state(E, SimplexIndicator(), h0, tau0=1.0), q=None)
         st1 = linbreg_step(E, SimplexIndicator(), st)
         assert np.allclose(st1.u, project_simplex(c), atol=1e-14)
 
@@ -118,7 +119,7 @@ class TestProjectedGradientStep:
         R = SimplexIndicator()
         u0 = np.full(n, 1.0 / n)
         st_b = initial_state(E, R, u0, tau0=0.3)
-        st_p = SolverState(u=u0.copy(), q=None, tau=0.3, energy=E.value(u0))
+        st_p = replace(initial_state(E, R, u0.copy(), tau0=0.3), q=None)
         for _ in range(30):
             st_b = linbreg_step(E, R, st_b)
             st_p = linbreg_step(E, R, st_p)
@@ -172,9 +173,9 @@ class TestProximalGradientStep:
         f = rng.standard_normal(5)
         E = LeastSquares(f)
         u0 = rng.standard_normal(5)
-        st = SolverState(u=u0, q=None, tau=0.7, energy=E.value(u0))
+        st = replace(initial_state(E, Zero(), u0, tau0=0.7), q=None)
         st1 = linbreg_step(E, Zero(), st)
-        assert np.allclose(st1.u, u0 - 0.7 * E.grad(u0), atol=1e-15)
+        assert np.allclose(st1.u, u0 - 0.7 * E.value_and_grad(u0)[1], atol=1e-15)
 
     def test_first_step_coincides_with_linbreg_then_diverges(self):
         f = np.array([2.0, 0.5, -1.5])
@@ -182,7 +183,7 @@ class TestProximalGradientStep:
         R = L1(1.0)
         u0 = np.zeros(3)
         st_b = initial_state(E, R, u0, tau0=1.0)
-        st_p = SolverState(u=u0.copy(), q=None, tau=1.0, energy=E.value(u0))
+        st_p = replace(initial_state(E, R, u0.copy(), tau0=1.0), q=None)
 
         st_b = linbreg_step(E, R, st_b)
         st_p = linbreg_step(E, R, st_p)
@@ -198,7 +199,8 @@ class TestBacktrack:
     def test_safe_stepsize_accepted_immediately(self):
         E = LeastSquares(np.array([1.0, -1.0]))  # L = 1
         st = initial_state(E, Zero(), np.zeros(2), tau0=0.5)
-        st1 = backtrack(E, Zero(), st, BacktrackingPolicy(tau0=0.5))
+        st1 = backtrack(E, Zero(), st, BacktrackingPolicy(
+            tau0=0.5, eps_decrease=1e-12 * max(1.0, abs(st.energy))))
         assert st1.tau == 0.5
 
     def test_hand_simulated_shrink_sequence(self):
@@ -218,7 +220,7 @@ class TestBacktrack:
         st = initial_state(E, R, np.array([1.0, -2.0]), tau0=4.0)
         st1 = backtrack(E, R, st, BacktrackingPolicy(tau0=4.0, eps_decrease=0.0))
         direct = linbreg_step(E, R, SolverState(u=st.u, q=st.q, tau=st1.tau,
-                                                energy=st.energy))
+                                                energy=st.energy, grad=st.grad))
         assert np.array_equal(st1.u, direct.u)
         assert np.array_equal(st1.q, direct.q)
 
@@ -226,14 +228,13 @@ class TestBacktrack:
         # sqrt-shaped energy: any step away from the start raises the value,
         # so no stepsize can ever satisfy the decrease check
         class Worse(SmoothObjective):
-            def value_and_grad(self, u):
+            def value_and_grad(self, u, facts=None):
                 x = np.ravel(u)
                 value = float(np.abs(x[0] - 1.0) ** 0.5) if x[0] != 1.0 else 0.0
                 return value, np.ones_like(np.asarray(u))
 
         E = Worse()
-        st = SolverState(u=np.array([1.0]), q=np.zeros(1), tau=1.0,
-                         energy=E.value(np.array([1.0])))
+        st = initial_state(E, Zero(), np.array([1.0]), tau0=1.0)
         with pytest.raises(StagnationError):
             backtrack(E, Zero(), st, BacktrackingPolicy(tau0=1.0, eps_decrease=0.0))
 
@@ -243,7 +244,7 @@ class TestBacktrack:
         class NanAway(SmoothObjective):
             calls = 0
 
-            def value_and_grad(self, u):
+            def value_and_grad(self, u, facts=None):
                 self.calls += 1
                 return float("nan"), np.ones_like(np.asarray(u))
 
@@ -251,21 +252,22 @@ class TestBacktrack:
         st = SolverState(u=np.array([1.0]), q=np.zeros(1), tau=0.5, k=7, energy=1.0,
                          grad=np.ones(1))
         with pytest.raises(NumericsError, match="iteration 7.*tau = 0.5") as info:
-            backtrack(E, Zero(), st, BacktrackingPolicy(tau0=0.5))
+            backtrack(E, Zero(), st, BacktrackingPolicy(tau0=0.5, eps_decrease=1e-12))
         assert type(info.value) is NumericsError
         assert E.calls == 1
 
     def test_infinite_energy_keeps_shrinking(self):
         # an overflowing trial (E = +inf) is rejected like any too-long step
         class Overflow(LeastSquares):
-            def value_and_grad(self, u):
+            def value_and_grad(self, u, facts=None):
                 value, g = super().value_and_grad(u)
                 return (float("inf") if float(np.ravel(u)[0]) < -0.9 else value), g
 
         # from u = 1 with grad 1: tau = 2 lands on -1 (inf), tau = 1.5 on -0.5
         E = Overflow(np.array([0.0]))
         st = initial_state(E, Zero(), np.array([1.0]), tau0=2.0)
-        st1 = backtrack(E, Zero(), st, BacktrackingPolicy(tau0=2.0))
+        st1 = backtrack(E, Zero(), st, BacktrackingPolicy(
+            tau0=2.0, eps_decrease=1e-12 * max(1.0, abs(st.energy))))
         assert st1.tau == 1.5
         assert st1.u[0] == -0.5
 
@@ -274,39 +276,96 @@ class TestEvaluationCount:
     @pytest.mark.parametrize("memory", [True, False])
     def test_one_evaluation_per_trial(self, monkeypatch, memory):
         # tau0 = 3 exceeds 2/L = 2, so backtracking rejects trials; the solver
-        # evaluates E once at u0 and once per trial, never through value or grad
+        # evaluates E once at u0 and once per trial, at the trial's iterate
+        points = []
+
         class Counted(QuadraticObjective):
-            calls = 0
-
-            def value_and_grad(self, u):
-                self.calls += 1
-                return super().value_and_grad(u)
-
-            def value(self, u):
-                raise AssertionError("the solver called E.value")
-
-            def grad(self, u):
-                raise AssertionError("the solver called E.grad")
+            def value_and_grad(self, u, facts=None):
+                points.append(np.array(u, copy=True))
+                return super().value_and_grad(u, facts)
 
         base = random_psd_quadratic(0, 20, L=1.0)
         E = Counted(base.A, base.b, lipschitz=base.lipschitz)
         R = L1(0.1)
-        trials = 0
+        trials = []
         step = linbreg.solver.linbreg_step
 
         def counted_step(*args):
-            nonlocal trials
-            trials += 1
-            return step(*args)
+            trials.append(step(*args))
+            return trials[-1]
 
         monkeypatch.setattr(linbreg.solver, "linbreg_step", counted_step)
-        st0 = initial_state(E, R, np.zeros(20), tau0=3.0)
+        u0 = np.zeros(20)
+        st0 = initial_state(E, R, u0, tau0=3.0)
         if not memory:
             st0 = replace(st0, q=None)
         result = run(E, R, st0, BacktrackingPolicy(tau0=3.0), StoppingRule(max_iter=30))
         assert len(result.records) == 30
-        assert trials > len(result.records)
-        assert E.calls == 1 + trials
+        assert len(trials) > len(result.records)
+        assert len(points) == 1 + len(trials)
+        assert np.array_equal(points[0], u0)
+        assert all(np.array_equal(p, t.u) for p, t in zip(points[1:], trials))
+
+
+class TestInterfacePins:
+    def test_energy_is_one_method(self):
+        assert [name for name, v in vars(SmoothObjective).items()
+                if callable(v)] == ["value_and_grad"]
+        for name in ("evaluate", "value", "grad"):
+            assert not hasattr(SmoothObjective, name)
+
+    def test_shipped_energies_define_only_value_and_grad(self):
+        from linbreg.problems import (
+            BlindDeconvObjective,
+            ClassifierObjective,
+            ParallelMriObjective,
+        )
+        from linbreg.problems.counterexample import ShiftedParabola
+
+        for cls in (QuadraticObjective, LeastSquares, ShiftedParabola, BlindDeconvObjective,
+                    ParallelMriObjective, ClassifierObjective):
+            for name in ("evaluate", "value", "grad"):
+                assert not hasattr(cls, name), (cls.__name__, name)
+
+    def test_state_requires_energy_and_grad(self):
+        with pytest.raises(TypeError):
+            SolverState(u=np.zeros(2), q=np.zeros(2), tau=1.0)
+        with pytest.raises(TypeError):
+            SolverState(u=np.zeros(2), q=np.zeros(2), tau=1.0, energy=0.0)
+        with pytest.raises(TypeError):
+            SolverState(u=np.zeros(2), q=np.zeros(2), tau=1.0, grad=np.zeros(2))
+
+    def test_run_result_holds_what_the_run_produced(self):
+        assert [f.name for f in fields(RunResult)] == ["state", "records", "stop_reason"]
+
+
+class TestFaultInjection:
+    def test_inf_gradient_at_a_step_names_the_iteration(self):
+        # the third evaluation, at the second step's iterate, returns an Inf gradient
+        class InfFromThirdCall(QuadraticObjective):
+            calls = 0
+
+            def value_and_grad(self, u, facts=None):
+                self.calls += 1
+                value, g = super().value_and_grad(u, facts)
+                return value, (np.full_like(g, np.inf) if self.calls >= 3 else g)
+
+        t0 = time.perf_counter()
+        base = random_psd_quadratic(0, 8, L=1.0)
+        E = InfFromThirdCall(base.A, base.b, lipschitz=base.lipschitz)
+        R = L1(0.1)
+        st0 = initial_state(E, R, np.zeros(8), tau0=0.5)
+        with pytest.raises(NumericsError, match="non-finite gradient at iteration 2"):
+            run(E, R, st0, BacktrackingPolicy(tau0=0.5), StoppingRule(max_iter=10))
+        assert E.calls == 3
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("R, u0", [(SimplexIndicator(), np.array([0.5, 0.6, 0.1])),
+                                       (NonnegativeIndicator(), np.array([0.5, -0.1, 1.0]))],
+                             ids=["simplex", "nonnegative"])
+    def test_infeasible_u0_raises_value_error(self, R, u0):
+        with pytest.raises(ValueError):
+            initial_state(LeastSquares(np.zeros(3)), R, u0, tau0=1.0)
 
 
 class TestSurrogate:
@@ -314,7 +373,7 @@ class TestSurrogate:
         rng = np.random.default_rng(4)
         E = LeastSquares(rng.standard_normal(4))
         x = rng.standard_normal(4)
-        ex = E.value(x)
+        ex = E.value_and_grad(x)[0]
         assert surrogate_value(ex, Zero(), x, np.zeros(4)) == pytest.approx(ex, rel=1e-14)
 
     def test_vanishes_to_energy_at_base_point(self):
@@ -323,7 +382,8 @@ class TestSurrogate:
         R = L1(0.7)
         x = rng.standard_normal(4)
         y = R.initial_subgradient(x)
-        assert surrogate_value(E.value(x), R, x, y) == pytest.approx(E.value(x), rel=1e-12)
+        ex = E.value_and_grad(x)[0]
+        assert surrogate_value(ex, R, x, y) == pytest.approx(ex, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_conjugate_form_equals_bregman_form(self, seed):
@@ -334,12 +394,13 @@ class TestSurrogate:
         v = R.prox(z, 1.0)
         y = z - v  # in dR(v) scaled by alpha... exact prox subgradient at step 1
         x = rng.standard_normal(5)
-        conj_form = surrogate_value(E.value(x), R, x, y)
-        breg_form = E.value(x) + bregman_distance(R, x, v, y)
+        ex = E.value_and_grad(x)[0]
+        conj_form = surrogate_value(ex, R, x, y)
+        breg_form = ex + bregman_distance(R, x, v, y)
         assert conj_form == pytest.approx(breg_form, abs=1e-12)
 
     def test_surrogate_upper_bounds_energy(self):
-        _, _, result, _, _ = run_instance("l1", 50, seed=1)
+        _, _, _, result, _, _ = run_instance("l1", 50, seed=1)
         for rec in result.records:
             assert rec.surrogate >= rec.energy - 1e-10 * (1.0 + abs(rec.energy))
 
@@ -347,34 +408,34 @@ class TestSurrogate:
 class TestSurrogateSubgradient:
     def test_zero_at_fixed_point(self):
         E = LeastSquares(np.zeros(3))
-        prev = SolverState(u=np.zeros(3), q=np.zeros(3), tau=1.0, energy=0.0)
-        st = SolverState(u=np.zeros(3), q=np.zeros(3), tau=1.0, k=1, energy=0.0)
-        r = surrogate_subgradient(E, st, prev)
+        prev = initial_state(E, Zero(), np.zeros(3), tau0=1.0)
+        st = replace(prev, k=1)
+        r = surrogate_subgradient(st, prev)
         assert np.array_equal(r, np.zeros(6))
 
     def test_unavailable_at_start(self):
         E = LeastSquares(np.zeros(3))
         st = initial_state(E, Zero(), np.ones(3), tau0=1.0)
         with pytest.raises(ValueError):
-            surrogate_subgradient(E, st, None)
+            surrogate_subgradient(st, None)
 
     def test_zero_regularizer_form(self):
         rng = np.random.default_rng(6)
         E = LeastSquares(rng.standard_normal(4))
         st = initial_state(E, Zero(), rng.standard_normal(4), tau0=0.5)
         st1 = linbreg_step(E, Zero(), st)
-        r = surrogate_subgradient(E, st1, st)
-        expected = np.concatenate([E.grad(st1.u), st.u - st1.u])
+        r = surrogate_subgradient(st1, st)
+        g1, g0 = E.value_and_grad(st1.u)[1], E.value_and_grad(st.u)[1]
+        expected = np.concatenate([g1, st.u - st1.u])
         assert np.allclose(r, expected, atol=1e-14)
         # from the update identity, the first block is bounded by the gap terms
-        first = np.linalg.norm(E.grad(st1.u))
-        bound = np.linalg.norm(st1.u - st.u) / st1.tau + np.linalg.norm(
-            E.grad(st1.u) - E.grad(st.u))
+        first = np.linalg.norm(g1)
+        bound = np.linalg.norm(st1.u - st.u) / st1.tau + np.linalg.norm(g1 - g0)
         assert first <= bound + 1e-12
 
     @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
     def test_bound_by_iterate_gap(self, kind):
-        E, R, result, tau, _ = run_instance(kind, 120, seed=2)
+        E, R, _, result, tau, _ = run_instance(kind, 120, seed=2)
         L = E.lipschitz
         rho2 = 1.0 + L + 1.0 / tau
         for rec in result.records:
@@ -395,30 +456,29 @@ class TestSufficientDecrease:
         E = random_psd_quadratic(5, 10, L=2.0)
         st0 = initial_state(E, Zero(), rng.standard_normal(10), tau0=0.5)  # 1/L
         result = run(E, Zero(), st0, BacktrackingPolicy(tau0=0.5), StoppingRule(max_iter=60))
-        energies = [result.initial_energy] + [r.energy for r in result.records]
+        energies = [st0.energy] + [r.energy for r in result.records]
         assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
         for rec in result.records:
             assert rec.surrogate == pytest.approx(rec.energy, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
     def test_zero_violations_over_500_iterations(self, kind):
-        E, _, result, _, _ = run_instance(kind, 500, seed=3)
-        report = check_sufficient_decrease(result.records, E.lipschitz,
-                                           result.initial_surrogate)
+        E, _, st0, result, _, _ = run_instance(kind, 500, seed=3)
+        report = check_sufficient_decrease(result.records, E.lipschitz, st0.surrogate)
         assert report.checked == 500
         assert report.violations == []
 
     @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
     def test_monotone_surrogate(self, kind):
-        _, _, result, _, _ = run_instance(kind, 200, seed=4)
-        fs = [result.initial_surrogate] + [r.surrogate for r in result.records]
+        _, _, st0, result, _, _ = run_instance(kind, 200, seed=4)
+        fs = [st0.surrogate] + [r.surrogate for r in result.records]
         for a, b in zip(fs, fs[1:]):
             assert b <= a + 1e-10 * (1.0 + abs(a))
 
     @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
     def test_iterate_gap_summability_proxy(self, kind):
-        _, _, result, _, rho1 = run_instance(kind, 300, seed=5)
-        fs = [result.initial_surrogate] + [r.surrogate for r in result.records]
+        _, _, st0, result, _, rho1 = run_instance(kind, 300, seed=5)
+        fs = [st0.surrogate] + [r.surrogate for r in result.records]
         total = sum(r.iterate_gap ** 2 for r in result.records)
         bound = (fs[0] - min(fs)) / rho1
         assert total <= bound * (1.0 + 1e-9) + 1e-12
@@ -428,13 +488,13 @@ class TestStepIdentity:
     @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
     def test_intermediate_identity_each_step(self, kind):
         # -<grad E(u^k), u^{k+1} - u^k> = ||gap||^2 / tau + sym Bregman distance
-        E, R, _, tau, _ = run_instance(kind, 0, seed=6)
+        E, R, _, _, tau, _ = run_instance(kind, 0, seed=6)
         _, _, u0 = make_instance(kind, seed=6)
         st = initial_state(E, R, u0, tau0=tau)
         for _ in range(80):
             st_new = linbreg_step(E, R, st)
             delta = st_new.u - st.u
-            lhs = -float(E.grad(st.u) @ delta)
+            lhs = -float(E.value_and_grad(st.u)[1] @ delta)
             dsym = symmetric_bregman_distance(st_new.u, st.u, st_new.q, st.q)
             rhs = float(delta @ delta) / tau + dsym
             scale = 1.0 + abs(lhs) + abs(rhs)
@@ -442,7 +502,7 @@ class TestStepIdentity:
             st = st_new
 
     def test_symmetric_distance_matches_value_route_l1(self):
-        E, R, _, tau, _ = run_instance("l1", 0, seed=7)
+        E, R, _, _, tau, _ = run_instance("l1", 0, seed=7)
         _, _, u0 = make_instance("l1", seed=7)
         st = initial_state(E, R, u0, tau0=tau)
         for _ in range(30):
@@ -457,12 +517,12 @@ class TestStepIdentity:
 class TestDualFeasibility:
     @pytest.mark.parametrize("kind", ["l1", "simplex", "nuclear"])
     def test_certified_subgradients_every_step(self, kind):
-        E, R, result, _, _ = run_instance(kind, 100, seed=8)
+        E, R, _, result, _, _ = run_instance(kind, 100, seed=8)
         st = result.state
         assert fenchel_residual(R, st.u, st.q) <= 1e-8 * (1.0 + abs(R.value(st.u)))
 
     def test_certification_along_whole_run(self):
-        E, R, _, tau, _ = run_instance("l1", 0, seed=9)
+        E, R, _, _, tau, _ = run_instance("l1", 0, seed=9)
         _, _, u0 = make_instance("l1", seed=9)
         st = initial_state(E, R, u0, tau0=tau)
         for _ in range(60):

@@ -23,20 +23,14 @@ class LinearObjective(SmoothObjective):
     def __init__(self, a):
         self.a = np.asarray(a, dtype=np.float64)
 
-    def value(self, u):
-        return float(np.ravel(u) @ np.ravel(self.a))
-
-    def grad(self, u):
-        return self.a.reshape(np.asarray(u).shape)
+    def value_and_grad(self, u, facts=None):
+        return float(np.ravel(u) @ np.ravel(self.a)), self.a.reshape(np.asarray(u).shape)
 
 
 class HalfSquared(SmoothObjective):
-    def value(self, u):
-        u = np.ravel(u)
-        return 0.5 * float(u @ u)
-
-    def grad(self, u):
-        return np.asarray(u, dtype=np.float64)
+    def value_and_grad(self, u, facts=None):
+        x = np.ravel(u)
+        return 0.5 * float(x @ x), np.asarray(u, dtype=np.float64)
 
 
 class TestFdCheck:
@@ -53,8 +47,8 @@ class TestFdCheck:
 
     def test_wrong_gradient_detected(self):
         class Wrong(HalfSquared):
-            def grad(self, u):
-                return 2.0 * np.asarray(u)
+            def value_and_grad(self, u, facts=None):
+                return super().value_and_grad(u)[0], 2.0 * np.asarray(u)
 
         rng = np.random.default_rng(2)
         rep = finite_difference_gradient_check(Wrong(), rng.standard_normal(10) + 1.0, seed=3)
@@ -69,12 +63,9 @@ class TestFdCheck:
 
     def test_non_finite_energy_reported(self):
         class Exploding(SmoothObjective):
-            def value(self, u):
-                u = np.ravel(u)
-                return float("inf") if np.any(u > 1.5) else float(u @ u)
-
-            def grad(self, u):
-                return 2.0 * np.asarray(u)
+            def value_and_grad(self, u, facts=None):
+                x = np.ravel(u)
+                return (float("inf") if np.any(x > 1.5) else float(x @ x)), 2.0 * np.asarray(u)
 
         with pytest.raises(NumericsError):
             finite_difference_gradient_check(Exploding(), np.full(4, 1.5), seed=0)
