@@ -167,10 +167,12 @@ def _energy_grad_output(As, D, Y, activation, loss_kind, loss_eps, eps):
 
     value, G = loss_value_grad(loss_kind, T, Y, eps=loss_eps)
     grads = []
-    for A, (T_in, Z) in zip(As, layers):
+    innermost = len(As) - 1
+    for j, (A, (T_in, Z)) in enumerate(zip(As, layers)):
         Gz = activation.backprop(Z, G)
         grads.append(Gz @ T_in.T + eps * A)
-        G = A.T @ Gz
+        if j < innermost:  # the innermost layer's input is D: no one reads its gradient
+            G = A.T @ Gz
         value += 0.5 * eps * float(np.sum(A * A))
     return value, grads, T
 
@@ -261,6 +263,9 @@ _GLYPHS = [
 ]
 
 
+_DIGIT_BLOCK = 64  # samples whose images synthetic_digits builds at once
+
+
 def _glyph(digit: int) -> np.ndarray:
     rows = _GLYPHS[digit].split()
     return np.array([[float(ch) for ch in row] for row in rows])
@@ -278,21 +283,35 @@ def synthetic_digits(seed: int, n: int, side: int = 28):
     rng = np.random.default_rng(seed)
     scale = side // 7
     pad = side - 5 * scale
-    glyphs = [np.pad(np.kron(_glyph(d), np.ones((scale, scale))),
-                     ((0, side - 7 * scale), (pad // 2, pad - pad // 2)))
-              for d in range(10)]
-    # np.roll by s along an axis is the gather of roll_idx[s] = (i - s) mod side
-    roll_idx = {s: (np.arange(side) - s) % side for s in range(-2, 3)}
+    glyphs = np.array([_glyph(d) for d in range(10)])
+    glyphs = np.pad(glyphs.repeat(scale, axis=1).repeat(scale, axis=2),
+                    ((0, 0), (0, side - 7 * scale), (pad // 2, pad - pad // 2)))
+    # np.roll by s along an axis is the gather of roll_idx[s + 2] = (i - s) mod
+    # side; rolled[d, :, s + 2] is glyph d with its columns rolled by s
+    roll_idx = (np.arange(side) - np.arange(-2, 3)[:, None]) % side
+    rolled = glyphs[:, :, roll_idx]
     D = np.zeros((side * side, n))
     labels = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        d = int(rng.integers(0, 10))
-        dy, dx = int(rng.integers(-2, 3)), int(rng.integers(-2, 3))
-        img = glyphs[d][roll_idx[dy][:, None], roll_idx[dx]]  # the gather copies
-        img *= rng.uniform(0.75, 1.0)
-        img += 0.05 * rng.uniform(size=(side, side))
-        D[:, i] = np.clip(img, 0.0, 1.0, out=img).ravel()
-        labels[i] = d
+    # The draws are per sample, in stream order; the image arithmetic runs once
+    # per block, which bounds its temporaries to a few block x side^2 arrays.
+    held = min(n, _DIGIT_BLOCK)
+    shifts = np.empty((held, 2), dtype=np.int64)
+    amps = np.empty(held)
+    noise = np.empty((held, side, side))
+    for start in range(0, n, _DIGIT_BLOCK):
+        k = min(_DIGIT_BLOCK, n - start)
+        for j in range(k):
+            labels[start + j] = rng.integers(0, 10)
+            shifts[j] = rng.integers(-2, 3), rng.integers(-2, 3)
+            amps[j] = rng.uniform(0.75, 1.0)
+            rng.random(out=noise[j])  # the bytes of rng.uniform(size=(side, side))
+        rows = roll_idx[shifts[:k, 0] + 2]
+        imgs = rolled[labels[start:start + k, None], rows, shifts[:k, 1, None] + 2]
+        imgs *= amps[:k, None, None]
+        noise[:k] *= 0.05
+        imgs += noise[:k]
+        np.clip(imgs, 0.0, 1.0, out=imgs)
+        D[:, start:start + k] = imgs.reshape(k, side * side).T
     return D, labels
 
 

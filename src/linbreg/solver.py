@@ -181,13 +181,16 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
     """Retry the step with tau shrunk by ``SHRINK`` until the energy check holds.
 
     Accepts the first trial with E(u_next) <= E(u) + eps_decrease, which must
-    be a number (``iterate`` resolves None); the accepted tau is kept for the
-    next iteration.  Rejected trials never advance the dual state: each retry
-    re-runs the step from the same (u, q), though its TV prox warm-starts from
-    the rejected trial before it (see ``SolverState``).  A trial energy of +inf
-    (an overflowing step) shrinks tau like any other rejection; a NaN energy
-    raises ``NumericsError`` at once.
+    be a number: ``iterate`` resolves None, and here None raises ``ValueError``.
+    The accepted tau is kept for the next iteration.  Rejected trials never
+    advance the dual state: each retry re-runs the step from the same (u, q),
+    though its TV prox warm-starts from the rejected trial before it (see
+    ``SolverState``).  A trial energy of +inf (an overflowing step) shrinks tau
+    like any other rejection; a NaN energy raises ``NumericsError`` at once.
     """
+    if policy.eps_decrease is None:
+        raise ValueError("backtrack needs a numeric eps_decrease; iterate resolves "
+                         "eps_decrease=None from the start energy")
     tau = st.tau
     while True:
         trial = linbreg_step(E, R, replace(st, tau=tau))

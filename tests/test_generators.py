@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from linbreg.problems import synthetic_digits
-from linbreg.problems.classify import _glyph
+from linbreg.problems.classify import _DIGIT_BLOCK as BLOCK, _glyph
 from linbreg.problems.deconv import motion_kernel
 from linbreg.problems.mri import spiral_mask
 
@@ -112,8 +112,12 @@ class TestDigestPins:
 
 
 class TestLoopReferences:
+    # 500 at side 28 is the bench size; the rest sit at the edges of the
+    # blocks synthetic_digits builds its images in
     @pytest.mark.parametrize("seed, n, side",
-                             [(3, 25, 28), (1, 4, 0), (5, 6, 1), (8, 9, 6), (4, 7, 35)])
+                             [(3, 25, 28), (1, 4, 0), (5, 6, 1), (8, 9, 6), (4, 7, 35),
+                              (2, 500, 28), (6, BLOCK - 1, 28), (7, BLOCK, 28),
+                              (9, BLOCK + 1, 14), (10, 2 * BLOCK + 3, 28), (11, 0, 28)])
     def test_synthetic_digits(self, seed, n, side):
         D, labels = synthetic_digits(seed, n, side)
         assert digest(D, labels) == digest(*digits_loop(seed, n, side))

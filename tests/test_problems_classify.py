@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from linbreg.problems import (
     nn_forward,
     synthetic_digits,
 )
-from linbreg.problems.classify import make_activation, one_hot
+from linbreg.problems.classify import (
+    ACTIVATION_KINDS,
+    LOSS_KINDS,
+    loss_value_grad,
+    make_activation,
+    one_hot,
+)
 
 
 def small_problem(activation="rectifier", loss="frobenius", loss_eps=1.0, seed=0):
@@ -95,6 +103,54 @@ class TestGradients:
         Y = np.array([[1.0]])
         with pytest.raises(NumericsError):
             loss_value_grad("kl", X, Y, eps=0.1)
+
+
+def nn_energy_grad_loop(As, D, Y, activation, loss_kind, loss_eps, eps):
+    """Reference backward pass: every layer propagates G, the innermost layer
+    included, whose G is the gradient with respect to D."""
+    T = D
+    layers = []
+    for A in reversed(As):
+        Z = A @ T
+        layers.append((T, Z))
+        T = activation.value(Z)
+    value, G = loss_value_grad(loss_kind, T, Y, eps=loss_eps)
+    grads = []
+    for A, (T_in, Z) in zip(As, layers[::-1]):
+        Gz = activation.backprop(Z, G)
+        grads.append(Gz @ T_in.T + eps * A)
+        G = A.T @ Gz
+        value += 0.5 * eps * float(np.sum(A * A))
+    return value, grads
+
+
+class TestBackwardPass:
+    @pytest.mark.parametrize("loss", LOSS_KINDS)
+    @pytest.mark.parametrize("activation", ACTIVATION_KINDS)
+    def test_three_layers_equal_the_reference_loop(self, activation, loss):
+        rng = np.random.default_rng(11)
+        D = rng.uniform(size=(6, 9))
+        Y = one_hot(rng.integers(0, 3, size=9), classes=3)
+        As = init_weights([(3, 5), (5, 4), (4, 6)], seed=12)
+        act = make_activation(activation)
+        value, grads = nn_energy_grad(As, D, Y, act, loss, 1.0, 1e-3)
+        ref_value, ref_grads = nn_energy_grad_loop(As, D, Y, act, loss, 1.0, 1e-3)
+        assert value == ref_value
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+
+    def test_no_data_gradient_at_bench_size(self):
+        # the gradient with respect to D alone would take D.nbytes
+        D, labels = synthetic_digits(0, 500)
+        prob = ClassifierProblem(D=D, Y=one_hot(labels), shapes=[(10, 30), (30, 784)])
+        E = ClassifierObjective(prob)
+        x = E.pack(init_weights(prob.shapes, seed=0))
+        tracemalloc.start()
+        try:
+            E.value_and_grad(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < D.nbytes
 
 
 class TestSyntheticDigits:

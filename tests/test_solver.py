@@ -203,6 +203,12 @@ class TestBacktrack:
             tau0=0.5, eps_decrease=1e-12 * max(1.0, abs(st.energy))))
         assert st1.tau == 0.5
 
+    def test_unresolved_eps_decrease_is_a_value_error(self):
+        E = LeastSquares(np.array([1.0, -1.0]))
+        st = initial_state(E, Zero(), np.zeros(2), tau0=0.5)
+        with pytest.raises(ValueError, match="iterate resolves eps_decrease=None"):
+            backtrack(E, Zero(), st, BacktrackingPolicy(tau0=0.5))
+
     def test_hand_simulated_shrink_sequence(self):
         # E(u) = u^2/2 from u = 1 with tau0 = 4: trials 4, 3, 2.25 all raise E,
         # 4 * (3/4)^3 = 1.6875 gives u = -0.6875 and E decreases

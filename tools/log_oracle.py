@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 39 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 42 fixed CLI runs.
 
-Runs thirteen configs under each of the three solvers (``linbreg``,
+Runs fourteen configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -41,6 +41,8 @@ CONFIGS = {
     "deconv-20x24-k5x3": ("problem = deconv\nheight = 20\nwidth = 24\nkernel_h = 5\n"
                           "kernel_w = 3\nseed = 11\nmax_iter = 20\n"),
     "classifier-37": "problem = classifier\ntrain_n = 37\nhidden = 5\nseed = 9\nmax_iter = 20\n",
+    # more samples than one synthetic_digits block, and not a multiple of it
+    "classifier-130": "problem = classifier\ntrain_n = 130\nhidden = 5\nseed = 3\nmax_iter = 20\n",
     "mri-21": "problem = mri\nn = 21\nmax_iter = 10\n",
     # a loose TV tolerance and an off-schedule TV budget: the prox calls above
     # all run their 400 inner iterations, these take both inner exits
