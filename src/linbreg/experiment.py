@@ -29,7 +29,6 @@ from .problems.classify import (
     ACTIVATION_KINDS,
     LOSS_KINDS,
     ClassifierObjective,
-    ClassifierProblem,
     init_weights,
     nn_forward,
     one_hot,
@@ -99,68 +98,15 @@ def _parse_bool(s):
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_finite(s):
+    v = float(s)
+    if not np.isfinite(v):
+        raise ValueError(f"not a finite number: {s!r}")
+    return v
+
+
 def _parse_int_list(s):
     return [int(tok) for tok in s.split(",") if tok.strip()]
-
-
-# key -> (parser, default, problems it applies to; None = all)
-_KEYS = {
-    "problem": (str, None, None),
-    "solver": (str, "linbreg", None),
-    "tau0": (float, None, None),
-    "eps_decrease": (float, None, None),
-    "max_iter": (int, 100, None),
-    "discrepancy_eta": (float, None, None),
-    "iterate_gap_tol": (float, None, None),
-    "seed": (int, 0, None),
-    "out": (str, "", None),
-    "snapshots": (_parse_int_list, [], None),
-    "alpha": (float, None, None),
-    "tv_tol": (float, 1e-8, ("deconv", "mri")),
-    "tv_maxit": (int, 400, ("deconv", "mri")),
-    # deconv
-    "height": (int, 32, ("deconv",)),
-    "width": (int, 32, ("deconv",)),
-    "kernel_h": (int, 3, ("deconv",)),
-    "kernel_w": (int, 5, ("deconv",)),
-    "sigma": (float, 0.0, ("deconv",)),
-    "auto_eta": (_parse_bool, False, ("deconv",)),
-    # when false (the motivating iteration), the kernel takes plain projected
-    # steps while the image keeps its Bregman memory
-    "kernel_memory": (_parse_bool, False, ("deconv",)),
-    # mri
-    "n": (int, 32, ("mri", "quadratic")),
-    "coils": (int, 2, ("mri",)),
-    "mask": (str, "spiral", ("mri",)),
-    "mask_p": (float, 0.5, ("mri",)),
-    "epsilon": (float, float(np.finfo(float).eps), ("mri", "classifier")),
-    "alpha_b": (float, 1.0, ("mri",)),
-    "w_low": (float, 1e-6, ("mri",)),
-    "w_high": (float, 5.0, ("mri",)),
-    # classifier
-    "train_n": (int, 500, ("classifier",)),
-    "hidden": (int, 20, ("classifier",)),
-    "activation": (str, "rectifier", ("classifier",)),
-    "beta": (float, 5.0, ("classifier",)),
-    "smooth_c": (float, 0.0, ("classifier",)),
-    "loss": (str, "frobenius", ("classifier",)),
-    "loss_eps": (float, 1.0, ("classifier",)),
-    "alpha1": (float, 0.2, ("classifier",)),
-    "alpha2": (float, 0.2, ("classifier",)),
-    "data_images": (str, "", ("classifier",)),
-    "data_labels": (str, "", ("classifier",)),
-    # quadratic toy
-    "l_const": (float, 1.0, ("quadratic",)),
-    "reg": (str, "l1", ("quadratic",)),
-    "reg_alpha": (float, 0.1, ("quadratic",)),
-}
-
-_PROBLEMS = ("deconv", "mri", "classifier", "quadratic")
-_SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
-_QUADRATIC_REGS = ("l1", "none")
-
-_DEFAULT_TAU0 = {"deconv": 2.0, "mri": 0.5, "classifier": 1e-3, "quadratic": 1.0}
-_DEFAULT_ALPHA = {"deconv": 0.05, "mri": 1.0, "classifier": 0.0, "quadratic": 0.0}
 
 
 def _require(ok: bool, what: str) -> None:
@@ -172,45 +118,111 @@ def _choice(names):
     return lambda v, c: _require(v in names, f"one of {names}")
 
 
-# key -> range check of value v given the resolved values c; raises ValueError
-_RANGE_CHECKS = {
-    "tau0": lambda v, c: BacktrackingPolicy(tau0=v),
-    "eps_decrease": lambda v, c: BacktrackingPolicy(tau0=1.0, eps_decrease=v),
-    "max_iter": lambda v, c: StoppingRule(max_iter=v),
-    "tv_maxit": lambda v, c: PdhgConfig(maxit=v),
-    **dict.fromkeys(("alpha", "alpha1", "alpha2", "alpha_b", "w_low", "w_high", "reg_alpha",
-                     "l_const", "sigma", "epsilon", "tv_tol", "iterate_gap_tol"),
-                    lambda v, c: _require(v >= 0, "nonnegative")),
-    **dict.fromkeys(("height", "width", "coils", "train_n", "hidden"),
-                    lambda v, c: _require(v >= 1, "at least 1")),
-    # the MRI phantom and mask need an image side of at least 2
-    "n": lambda v, c: _require(v >= (2 if c["problem"] == "mri" else 1),
-                               "at least 2 for mri and 1 for quadratic"),
-    "kernel_h": lambda v, c: _require(1 <= v <= c["height"], "between 1 and height"),
-    "kernel_w": lambda v, c: _require(1 <= v <= c["width"], "between 1 and width"),
-    "mask_p": lambda v, c: _require(0 <= v <= 1, "between 0 and 1"),
-    "beta": lambda v, c: _require(v > 0, "positive"),
-    "snapshots": lambda v, c: _require(all(k >= 1 for k in v), "iterations of at least 1"),
-    "activation": _choice(ACTIVATION_KINDS),
-    "mask": _choice(MASK_KINDS),
-    "reg": _choice(_QUADRATIC_REGS),
-    "loss": _choice(LOSS_KINDS),
+def _nonnegative(v, c):
+    _require(v >= 0, "nonnegative")
+
+
+def _at_least_1(v, c):
+    _require(v >= 1, "at least 1")
+
+
+# key -> (parser, default, problems it applies to (None = all), range check).
+# A dict default is per problem.  The range check takes the value v and the
+# resolved values c of the rows above it and raises ValueError; None means
+# every parsed value is valid.
+_KEYS = {
+    "problem": (str, None, None,
+                lambda v, c: _require(v in _BUILDERS, f"one of {tuple(_BUILDERS)}")),
+    "solver": (str, "linbreg", None, _choice(("linbreg", "projected-gd", "proximal-gd"))),
+    "tau0": (_parse_finite, {"deconv": 2.0, "mri": 0.5, "classifier": 1e-3, "quadratic": 1.0},
+             None, lambda v, c: BacktrackingPolicy(tau0=v)),
+    # float, not _parse_finite: inf turns backtracking off (a fixed stepsize)
+    "eps_decrease": (float, None, None,
+                     lambda v, c: BacktrackingPolicy(tau0=1.0, eps_decrease=v)),
+    "max_iter": (int, 100, None, lambda v, c: StoppingRule(max_iter=v)),
+    "discrepancy_eta": (_parse_finite, None, None, None),
+    "iterate_gap_tol": (_parse_finite, None, None, _nonnegative),
+    "seed": (int, 0, None, _nonnegative),
+    "out": (str, "", None, None),
+    "snapshots": (_parse_int_list, [], None,
+                  lambda v, c: _require(all(k >= 1 for k in v), "iterations of at least 1")),
+    # the image's TV weight
+    "alpha": (_parse_finite, {"deconv": 0.05, "mri": 1.0}, ("deconv", "mri"), _nonnegative),
+    "tv_tol": (_parse_finite, 1e-8, ("deconv", "mri"), _nonnegative),
+    "tv_maxit": (int, 400, ("deconv", "mri"), lambda v, c: PdhgConfig(maxit=v)),
+    # deconv
+    "height": (int, 32, ("deconv",), _at_least_1),
+    "width": (int, 32, ("deconv",), _at_least_1),
+    "kernel_h": (int, 3, ("deconv",),
+                 lambda v, c: _require(1 <= v <= c["height"], "between 1 and height")),
+    "kernel_w": (int, 5, ("deconv",),
+                 lambda v, c: _require(1 <= v <= c["width"], "between 1 and width")),
+    "sigma": (_parse_finite, 0.0, ("deconv",), _nonnegative),
+    "auto_eta": (_parse_bool, False, ("deconv",), None),
+    # when false (the motivating iteration), the kernel takes plain projected
+    # steps while the image keeps its Bregman memory
+    "kernel_memory": (_parse_bool, False, ("deconv",), None),
+    # mri; the phantom and mask need an image side of at least 2
+    "n": (int, 32, ("mri", "quadratic"),
+          lambda v, c: _require(v >= (2 if c["problem"] == "mri" else 1),
+                                "at least 2 for mri and 1 for quadratic")),
+    "coils": (int, 2, ("mri",), _at_least_1),
+    "mask": (str, "spiral", ("mri",), _choice(MASK_KINDS)),
+    "mask_p": (_parse_finite, 0.5, ("mri",),
+               lambda v, c: _require(0 <= v <= 1, "between 0 and 1")),
+    "epsilon": (_parse_finite, float(np.finfo(float).eps), ("mri", "classifier"), _nonnegative),
+    "alpha_b": (_parse_finite, 1.0, ("mri",), _nonnegative),
+    "w_low": (_parse_finite, 1e-6, ("mri",), _nonnegative),
+    "w_high": (_parse_finite, 5.0, ("mri",), _nonnegative),
+    # classifier
+    "train_n": (int, 500, ("classifier",), _at_least_1),
+    "hidden": (int, 20, ("classifier",), _at_least_1),
+    "activation": (str, "rectifier", ("classifier",), _choice(ACTIVATION_KINDS)),
+    "beta": (_parse_finite, 5.0, ("classifier",), lambda v, c: _require(v > 0, "positive")),
+    "smooth_c": (_parse_finite, 0.0, ("classifier",), None),
+    "loss": (str, "frobenius", ("classifier",), _choice(LOSS_KINDS)),
     # the shifted KL losses take logarithms of X + loss_eps and Y + loss_eps
-    "loss_eps": lambda v, c: _require(v > 0 or c["loss"] == "frobenius",
-                                      "positive for the kl losses"),
+    "loss_eps": (_parse_finite, 1.0, ("classifier",),
+                 lambda v, c: _require(v > 0 or c["loss"] == "frobenius",
+                                       "positive for the kl losses")),
+    "alpha1": (_parse_finite, 0.2, ("classifier",), _nonnegative),
+    "alpha2": (_parse_finite, 0.2, ("classifier",), _nonnegative),
+    "data_labels": (str, "", ("classifier",), None),
     # one file without the other would silently train on synthetic digits
-    "data_images": lambda v, c: _require(bool(v) == bool(c["data_labels"]),
-                                         "given together with 'data_labels'"),
+    "data_images": (str, "", ("classifier",),
+                    lambda v, c: _require(bool(v) == bool(c["data_labels"]),
+                                          "given together with 'data_labels'")),
+    # quadratic toy
+    "l_const": (_parse_finite, 1.0, ("quadratic",), _nonnegative),
+    "reg": (str, "l1", ("quadratic",), _choice(("l1", "none"))),
+    "reg_alpha": (_parse_finite, 0.1, ("quadratic",), _nonnegative),
 }
 
 
-def _check_ranges(values: dict, source: str) -> None:
-    for key, check in _RANGE_CHECKS.items():
-        if values.get(key) is not None:
+def _resolve(given: dict, source: str) -> dict:
+    """Every key that applies to the problem: its given value or default, range-checked.
+
+    Rows are resolved in table order, so a range check reads the rows above it.
+    """
+    if "problem" not in given:
+        raise ConfigError(f"{source}: missing required key 'problem'")
+    values = {}
+    for key, (parser, default, scope, check) in _KEYS.items():
+        if scope is not None and values["problem"] not in scope:
+            if key in given:
+                raise ConfigError(f"{source}: key {key!r} does not apply to problem "
+                                  f"{values['problem']!r}")
+            continue
+        v = given.get(key, default)
+        if isinstance(v, dict):
+            v = v[values["problem"]]
+        if v is not None and check is not None:
             try:
-                check(values[key], values)
+                check(v, values)
             except ValueError as exc:
                 raise ConfigError(f"{source}: bad value for {key!r}: {exc}") from exc
+        values[key] = v
+    return values
 
 
 @dataclass
@@ -222,9 +234,6 @@ class ExperimentConfig:
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -238,7 +247,7 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
-    raw = {}
+    given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -250,37 +259,14 @@ def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in given:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         parser = _KEYS[key][0]
         try:
-            raw[key] = parser(value)
+            given[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
-
-    if "problem" not in raw:
-        raise ConfigError(f"{source}: missing required key 'problem'")
-    problem = raw["problem"]
-    if problem not in _PROBLEMS:
-        raise ConfigError(f"{source}: unknown problem {problem!r} (choose from {_PROBLEMS})")
-    if raw.get("solver", "linbreg") not in _SOLVERS:
-        raise ConfigError(f"{source}: unknown solver {raw['solver']!r} (choose from {_SOLVERS})")
-
-    for key, (parser, default, scope) in _KEYS.items():
-        if key in raw and scope is not None and problem not in scope:
-            raise ConfigError(f"{source}: key {key!r} does not apply to problem {problem!r}")
-
-    values = {}
-    for key, (parser, default, scope) in _KEYS.items():
-        if scope is not None and problem not in scope:
-            continue
-        values[key] = raw.get(key, default)
-    if values["tau0"] is None:
-        values["tau0"] = _DEFAULT_TAU0[problem]
-    if values["alpha"] is None:
-        values["alpha"] = _DEFAULT_ALPHA[problem]
-    _check_ranges(values, source)
-    return ExperimentConfig(values=values, source=source)
+    return ExperimentConfig(values=_resolve(given, source), source=source)
 
 
 def apply_overrides(cfg: ExperimentConfig, seed=None, max_iter=None) -> ExperimentConfig:
@@ -289,8 +275,7 @@ def apply_overrides(cfg: ExperimentConfig, seed=None, max_iter=None) -> Experime
         values["seed"] = int(seed)
     if max_iter is not None:
         values["max_iter"] = int(max_iter)
-    _check_ranges(values, cfg.source)
-    return ExperimentConfig(values=values, source=cfg.source)
+    return ExperimentConfig(values=_resolve(values, cfg.source), source=cfg.source)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +361,9 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
         D, labels = synthetic_digits(cfg["seed"], cfg["train_n"])
     Y = one_hot(labels)
     shapes = [(10, cfg["hidden"]), (cfg["hidden"], D.shape[0])]
-    prob = ClassifierProblem(
-        D=D, Y=Y, shapes=shapes,
-        activation_kind=cfg["activation"], beta=cfg["beta"], smooth_c=cfg["smooth_c"],
-        loss_kind=cfg["loss"], loss_eps=cfg["loss_eps"], eps=cfg["epsilon"],
-        labels=labels,
-    )
-    E = ClassifierObjective(prob)
+    E = ClassifierObjective(D, Y, shapes, activation_kind=cfg["activation"], beta=cfg["beta"],
+                            smooth_c=cfg["smooth_c"], loss_kind=cfg["loss"],
+                            loss_eps=cfg["loss_eps"], eps=cfg["epsilon"])
     nuclear = [NuclearNorm(a, shape) for shape, a in zip(shapes, [cfg["alpha1"], cfg["alpha2"]])]
     R = SeparableSum(list(zip(nuclear, E.sizes)))
     u0 = E.pack(init_weights(shapes, cfg["seed"]))
@@ -514,7 +495,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunLog:
 def _run_into(cfg, built, st0, out: Path, snap_dir: Path, snaps: set) -> RunLog:
     policy = BacktrackingPolicy(tau0=cfg["tau0"], eps_decrease=cfg["eps_decrease"])
     eta = cfg["discrepancy_eta"]
-    if cfg["problem"] == "deconv" and cfg.get("auto_eta") and eta is None:
+    if cfg["problem"] == "deconv" and cfg["auto_eta"] and eta is None:
         eta = discrepancy_eta(cfg["sigma"], cfg["height"], cfg["width"])
     stop = StoppingRule(max_iter=cfg["max_iter"], discrepancy_eta=eta,
                         iterate_gap_tol=cfg["iterate_gap_tol"])

@@ -18,7 +18,6 @@ from .mri import (
 )
 from .classify import (
     ClassifierObjective,
-    ClassifierProblem,
     init_weights,
     nn_energy_grad,
     nn_forward,
@@ -40,7 +39,7 @@ __all__ = [
     "discrepancy_eta", "make_synthetic_deconv",
     "ParallelMriObjective", "ParallelMriProblem", "make_mask",
     "make_synthetic_mri", "mri_energy_grad",
-    "ClassifierObjective", "ClassifierProblem", "init_weights",
+    "ClassifierObjective", "init_weights",
     "nn_energy_grad", "nn_forward", "synthetic_digits",
     "read_pgm", "write_pgm",
     "load_digit_set", "read_idx_images", "read_idx_labels",

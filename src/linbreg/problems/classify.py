@@ -9,8 +9,6 @@ concatenated flattened weight matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from ..exceptions import NumericsError
@@ -177,38 +175,27 @@ def _energy_grad_output(As, D, Y, activation, loss_kind, loss_eps, eps):
     return value, grads, T
 
 
-@dataclass
-class ClassifierProblem:
-    """Training data, one-hot labels, layer shapes and loss configuration."""
-
-    D: np.ndarray
-    Y: np.ndarray
-    shapes: list
-    activation_kind: str = "rectifier"
-    beta: float = 5.0
-    smooth_c: float = 0.0
-    loss_kind: str = "frobenius"
-    loss_eps: float = 0.0
-    eps: float = float(np.finfo(float).eps)
-    labels: np.ndarray = field(default=None, repr=False)
-
-
 class ClassifierObjective(SmoothObjective):
-    """Stacked flattened-weights view of the classification energy."""
+    """Stacked flattened-weights view of the classification energy on the
+    training matrix ``D`` with one-hot labels ``Y``."""
 
     lipschitz = None
 
-    def __init__(self, problem: ClassifierProblem):
-        self.p = problem
-        self.activation = make_activation(problem.activation_kind, problem.beta,
-                                          problem.smooth_c)
-        self.shapes = [tuple(s) for s in problem.shapes]
+    def __init__(self, D, Y, shapes, activation_kind="rectifier", beta=5.0, smooth_c=0.0,
+                 loss_kind="frobenius", loss_eps=0.0, eps=float(np.finfo(float).eps)):
+        self.D = D
+        self.Y = Y
+        self.loss_kind = loss_kind
+        self.loss_eps = loss_eps
+        self.eps = eps
+        self.activation = make_activation(activation_kind, beta, smooth_c)
+        self.shapes = [tuple(s) for s in shapes]
         for (m, n), nxt in zip(self.shapes, self.shapes[1:]):
             if n != nxt[0]:
                 raise ValueError(f"layer shapes {self.shapes} do not chain")
-        if self.shapes[-1][1] != problem.D.shape[0]:
+        if self.shapes[-1][1] != D.shape[0]:
             raise ValueError("innermost layer does not match the data height")
-        if self.shapes[0][0] != problem.Y.shape[0]:
+        if self.shapes[0][0] != Y.shape[0]:
             raise ValueError("outermost layer does not match the label height")
         self.sizes = [m * n for m, n in self.shapes]
         self.size = sum(self.sizes)
@@ -231,8 +218,8 @@ class ClassifierObjective(SmoothObjective):
         """E and grad E at x; given ``facts``, stores the network output on D there
         as the fact ``"output"``."""
         value, grads, output = _energy_grad_output(
-            self.split(x), self.p.D, self.p.Y, self.activation,
-            self.p.loss_kind, self.p.loss_eps, self.p.eps)
+            self.split(x), self.D, self.Y, self.activation,
+            self.loss_kind, self.loss_eps, self.eps)
         if facts is not None:
             facts["output"] = output
         return value, self.pack(grads)

@@ -102,8 +102,8 @@ class BacktrackingPolicy:
     eps_decrease: float | None = None
 
     def __post_init__(self):
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be positive")
+        if not 0 < self.tau0 < np.inf:
+            raise ValueError("tau0 must be positive and finite")
         if self.eps_decrease is not None and not self.eps_decrease >= 0:
             raise ValueError("eps_decrease must be nonnegative")
 

@@ -37,7 +37,6 @@ from linbreg.pdhg import PdhgConfig
 from linbreg.problems import (
     BlindDeconvObjective,
     ClassifierObjective,
-    ClassifierProblem,
     LeastSquares,
     ParallelMriObjective,
     counterexample_run,
@@ -354,9 +353,8 @@ def test_criterion_09_classifier_rank_monotone_and_learning():
     D, labels = synthetic_digits(0, 500)
     Y = one_hot(labels)
     shapes = [(10, 30), (30, 784)]
-    prob = ClassifierProblem(D=D, Y=Y, shapes=shapes, activation_kind="rectifier",
-                             loss_kind="frobenius", eps=float(np.finfo(float).eps))
-    E = ClassifierObjective(prob)
+    E = ClassifierObjective(D, Y, shapes, activation_kind="rectifier",
+                            loss_kind="frobenius", eps=float(np.finfo(float).eps))
     sizes = [m * n for m, n in shapes]
     R = SeparableSum([
         (NuclearNorm(0.2, shapes[0]), sizes[0]),
@@ -416,11 +414,10 @@ def test_criterion_11_finite_difference_checks():
     D, labels = synthetic_digits(5, 30)
     Y = one_hot(labels)
     for loss in ("frobenius", "kl", "kl-sym"):
-        cp = ClassifierProblem(D=D, Y=Y, shapes=[(10, 8), (8, 784)],
-                               activation_kind="smooth-max", beta=5.0,
-                               loss_kind=loss, loss_eps=1.0, eps=1e-8)
-        Ec = ClassifierObjective(cp)
-        checks.append((Ec, Ec.pack(init_weights(cp.shapes, seed=6)), 0.02))
+        Ec = ClassifierObjective(D, Y, [(10, 8), (8, 784)],
+                                 activation_kind="smooth-max", beta=5.0,
+                                 loss_kind=loss, loss_eps=1.0, eps=1e-8)
+        checks.append((Ec, Ec.pack(init_weights(Ec.shapes, seed=6)), 0.02))
 
     for idx, (E_obj, base, spread) in enumerate(checks):
         for point in range(10):

@@ -84,6 +84,25 @@ OUT_OF_RANGE = [
     # one data file without the other trained on synthetic digits
     ("data_images-only", "problem = classifier\ndata_images = {tmp}/images.idx\n", "data_images"),
     ("data_labels-only", "problem = classifier\ndata_labels = {tmp}/labels.idx\n", "data_labels"),
+    # check printed ok; run then failed with a traceback or exited 3
+    ("seed", "problem = quadratic\nn = 6\nseed = -1\n", "seed"),
+    ("tau0-nan", "problem = quadratic\nn = 6\ntau0 = nan\n", "tau0"),
+    ("tau0-inf", "problem = quadratic\nn = 6\ntau0 = inf\n", "tau0"),
+    ("l_const-inf", "problem = quadratic\nn = 6\nl_const = inf\n", "l_const"),
+    ("deconv-alpha-inf", "problem = deconv\nheight = 8\nwidth = 8\nalpha = inf\n", "alpha"),
+    ("mri-alpha-inf", "problem = mri\nn = 8\nalpha = inf\n", "alpha"),
+    ("w_high-inf", "problem = mri\nn = 8\nw_high = inf\n", "w_high"),
+    ("sigma-inf", "problem = deconv\nheight = 8\nwidth = 8\nsigma = inf\n", "sigma"),
+    ("reg_alpha-inf", "problem = quadratic\nn = 6\nreg_alpha = inf\n", "reg_alpha"),
+    ("epsilon-inf", "problem = mri\nn = 8\nepsilon = inf\n", "epsilon"),
+    ("beta-inf", "problem = classifier\ntrain_n = 20\nactivation = smooth-max\nbeta = inf\n",
+     "beta"),
+    ("loss_eps-inf", "problem = classifier\ntrain_n = 20\nloss = kl\nloss_eps = inf\n",
+     "loss_eps"),
+    ("alpha1-inf", "problem = classifier\ntrain_n = 20\nhidden = 3\nalpha1 = inf\n", "alpha1"),
+    # alpha is the deconv and mri TV weight; these two ran and ignored it
+    ("classifier-alpha", "problem = classifier\ntrain_n = 20\nalpha = 3\n", "alpha"),
+    ("quadratic-alpha", "problem = quadratic\nn = 6\nalpha = 3\n", "alpha"),
 ]
 
 # data files that only run reads, each of which made it fail with a traceback:
@@ -116,8 +135,10 @@ class TestOutOfRange:
 
     @pytest.mark.parametrize("text, flags, key",
                              [(t, [], k) for _, t, k in OUT_OF_RANGE + BAD_DATA_FILES]
-                             + [("problem = quadratic\nn = 6\n", ["--max-iter", "-2"], "max_iter")],
-                             ids=[i for i, _, _ in OUT_OF_RANGE + BAD_DATA_FILES] + ["--max-iter"])
+                             + [("problem = quadratic\nn = 6\n", ["--max-iter", "-2"], "max_iter"),
+                                ("problem = quadratic\nn = 6\n", ["--seed", "-1"], "seed")],
+                             ids=[i for i, _, _ in OUT_OF_RANGE + BAD_DATA_FILES]
+                             + ["--max-iter", "--seed"])
     def test_run_exit_code_2(self, tmp_path, capsys, text, flags, key):
         write_digit_files(tmp_path)
         cfg = write_cfg(tmp_path, text.format(tmp=tmp_path))
@@ -156,6 +177,19 @@ class TestRun:
         assert (out / "summary.txt").exists()
         assert (out / "config.resolved").exists()
         assert "stopped: max_iter" in capsys.readouterr().out
+
+    def test_infinite_eps_decrease_is_a_fixed_stepsize(self, tmp_path):
+        # tau0 = 3 > 2 / l_const: backtracking shrinks it, inf keeps it
+        text = "problem = quadratic\nn = 6\nl_const = 1\ntau0 = 3\nmax_iter = 5\n"
+
+        def taus(extra, name):
+            cfg = write_cfg(tmp_path, text + extra, name=f"{name}.cfg")
+            assert main(["run", cfg, "--out", str(tmp_path / name)]) == 0
+            rows = (tmp_path / name / "log.csv").read_text().splitlines()[1:]
+            return {float(row.split(",")[1]) for row in rows}
+
+        assert taus("eps_decrease = inf\n", "fixed") == {3.0}
+        assert min(taus("", "backtracked")) < 3.0
 
     def test_seed_and_max_iter_overrides(self, tmp_path):
         cfg = write_cfg(tmp_path, QUAD)
@@ -264,6 +298,12 @@ class TestGradCheck:
                         "problem = classifier\ntrain_n = 20\nhidden = 5\n"
                         "activation = smooth-max\nseed = 1\n")
         assert main(["grad-check", cfg]) == 0
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "problem = quadratic\nn = 6\nseed = -1\n")
+        assert main(["grad-check", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'seed'" in err
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (DIGITS % ("nope.idx", "nope.idx")).format(tmp=tmp_path))

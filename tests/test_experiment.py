@@ -112,14 +112,13 @@ class TestClassifierRankGrowth:
             initial_state,
             run,
         )
-        from linbreg.problems import ClassifierObjective, ClassifierProblem
+        from linbreg.problems import ClassifierObjective
 
         D, labels = synthetic_digits(3, 120)
         Y = one_hot(labels)
         shapes = [(10, 12), (12, 784)]
-        prob = ClassifierProblem(D=D, Y=Y, shapes=shapes, activation_kind="rectifier",
-                                 loss_kind="frobenius", eps=1e-12)
-        E = ClassifierObjective(prob)
+        E = ClassifierObjective(D, Y, shapes, activation_kind="rectifier",
+                                loss_kind="frobenius", eps=1e-12)
         rng = np.random.default_rng(5)
         # small positive offset keeps the rectifier out of its dead point
         As0 = [1e-4 * rng.uniform(-1, 1, size=s) / np.sqrt(s[1]) + 3e-4 for s in shapes]
@@ -289,6 +288,40 @@ class TestRunExperiment:
         log = run_experiment(cfg, tmp_path / "run")
         assert log.iterations == 4
         _assert_baseline_rows(tmp_path / "run" / "log.csv")
+
+
+class TestAutoEta:
+    NOISY = "problem = deconv\nheight = 10\nwidth = 12\nsigma = 0.01\nmax_iter = 2\n"
+
+    def stopping_rule(self, text, tmp_path, monkeypatch):
+        """The StoppingRule that run_experiment hands to the solver for config ``text``."""
+        import linbreg.experiment as experiment
+
+        rules = []
+        solver_run = experiment.run
+
+        def spy(E, R, st0, policy, stop, **kwargs):
+            rules.append(stop)
+            return solver_run(E, R, st0, policy, stop, **kwargs)
+
+        monkeypatch.setattr(experiment, "run", spy)
+        run_experiment(parse_config_text(text), tmp_path / "run")
+        return rules[0]
+
+    def test_auto_eta_derives_the_discrepancy_from_sigma(self, tmp_path, monkeypatch):
+        from linbreg.problems import discrepancy_eta
+
+        stop = self.stopping_rule(self.NOISY + "auto_eta = true\n", tmp_path, monkeypatch)
+        assert stop.discrepancy_eta == discrepancy_eta(0.01, 10, 12)
+        assert stop.discrepancy_eta > 0
+
+    def test_explicit_discrepancy_eta_wins(self, tmp_path, monkeypatch):
+        stop = self.stopping_rule(self.NOISY + "auto_eta = true\ndiscrepancy_eta = 0.5\n",
+                                  tmp_path, monkeypatch)
+        assert stop.discrepancy_eta == 0.5
+
+    def test_no_discrepancy_without_auto_eta(self, tmp_path, monkeypatch):
+        assert self.stopping_rule(self.NOISY, tmp_path, monkeypatch).discrepancy_eta is None
 
 
 def _assert_baseline_rows(path):

@@ -6,7 +6,6 @@ import pytest
 from linbreg.verify import finite_difference_gradient_check
 from linbreg.problems import (
     ClassifierObjective,
-    ClassifierProblem,
     init_weights,
     nn_energy_grad,
     nn_forward,
@@ -25,9 +24,9 @@ def small_problem(activation="rectifier", loss="frobenius", loss_eps=1.0, seed=0
     rng = np.random.default_rng(seed)
     D = rng.uniform(size=(4, 5))
     Y = one_hot(rng.integers(0, 2, size=5), classes=2)
-    return ClassifierProblem(D=D, Y=Y, shapes=[(2, 3), (3, 4)],
-                             activation_kind=activation, loss_kind=loss,
-                             loss_eps=loss_eps, eps=1e-8)
+    return ClassifierObjective(D, Y, [(2, 3), (3, 4)],
+                               activation_kind=activation, loss_kind=loss,
+                               loss_eps=loss_eps, eps=1e-8)
 
 
 class TestForward:
@@ -62,34 +61,29 @@ class TestForward:
 
 class TestGradients:
     def test_two_layer_smooth_max_finite_differences(self):
-        prob = small_problem(activation="smooth-max")
-        prob.beta = 5.0
-        E = ClassifierObjective(prob)
+        E = small_problem(activation="smooth-max")
         rng = np.random.default_rng(3)
-        x = E.pack(init_weights(prob.shapes, seed=3)) + 0.01 * rng.standard_normal(E.size)
+        x = E.pack(init_weights(E.shapes, seed=3)) + 0.01 * rng.standard_normal(E.size)
         report = finite_difference_gradient_check(E, x, n_coords=E.size, seed=4)
         assert report.max_rel_err < 1e-4
 
     @pytest.mark.parametrize("loss", ["kl", "kl-sym"])
     def test_kl_losses_finite_differences(self, loss):
-        prob = small_problem(activation="smooth-max", loss=loss, loss_eps=1.0)
-        E = ClassifierObjective(prob)
-        x = E.pack(init_weights(prob.shapes, seed=5))
+        E = small_problem(activation="smooth-max", loss=loss, loss_eps=1.0)
+        x = E.pack(init_weights(E.shapes, seed=5))
         report = finite_difference_gradient_check(E, x, n_coords=E.size, seed=6)
         assert report.max_rel_err < 1e-4
 
     def test_softmax_finite_differences(self):
-        prob = small_problem(activation="soft-max")
-        E = ClassifierObjective(prob)
-        x = E.pack(init_weights(prob.shapes, seed=7))
+        E = small_problem(activation="soft-max")
+        x = E.pack(init_weights(E.shapes, seed=7))
         report = finite_difference_gradient_check(E, x, n_coords=E.size, seed=8)
         assert report.max_rel_err < 1e-4
 
     def test_rectifier_finite_differences_at_smooth_point(self):
         # pick a point where no pre-activation sits at a kink: positive weights
         # keep every pre-activation inside (0, 1) or clearly outside
-        prob = small_problem(activation="rectifier")
-        E = ClassifierObjective(prob)
+        E = small_problem(activation="rectifier")
         rng = np.random.default_rng(9)
         x = 0.3 + 0.05 * rng.uniform(size=E.size)
         report = finite_difference_gradient_check(E, x, n_coords=E.size, seed=10)
@@ -141,9 +135,8 @@ class TestBackwardPass:
     def test_no_data_gradient_at_bench_size(self):
         # the gradient with respect to D alone would take D.nbytes
         D, labels = synthetic_digits(0, 500)
-        prob = ClassifierProblem(D=D, Y=one_hot(labels), shapes=[(10, 30), (30, 784)])
-        E = ClassifierObjective(prob)
-        x = E.pack(init_weights(prob.shapes, seed=0))
+        E = ClassifierObjective(D, one_hot(labels), [(10, 30), (30, 784)])
+        x = E.pack(init_weights(E.shapes, seed=0))
         tracemalloc.start()
         try:
             E.value_and_grad(x)

@@ -203,6 +203,11 @@ class TestBacktrack:
             tau0=0.5, eps_decrease=1e-12 * max(1.0, abs(st.energy))))
         assert st1.tau == 0.5
 
+    @pytest.mark.parametrize("tau0", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tau0_must_be_positive_and_finite(self, tau0):
+        with pytest.raises(ValueError, match="tau0"):
+            BacktrackingPolicy(tau0=tau0)
+
     def test_unresolved_eps_decrease_is_a_value_error(self):
         E = LeastSquares(np.array([1.0, -1.0]))
         st = initial_state(E, Zero(), np.zeros(2), tau0=0.5)

@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 42 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 48 fixed CLI runs.
 
-Runs fourteen configs under each of the three solvers (``linbreg``,
+Runs sixteen configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -52,6 +52,13 @@ CONFIGS = {
     # FEAS_TOL; the soft-max output is what prediction_rate reads from the state
     "classifier-alpha0-softmax": ("problem = classifier\ntrain_n = 40\nhidden = 6\n"
                                   "max_iter = 20\nalpha1 = 0\nactivation = soft-max\n"),
+    # noisy data, and the discrepancy stop derived from its level
+    "deconv-noisy-auto-eta": ("problem = deconv\nheight = 16\nwidth = 16\nsigma = 0.01\n"
+                              "auto_eta = true\nmax_iter = 40\n"),
+    # a smooth max with a shifted floor and a sharpness off the default
+    "classifier-smoothmax-shifted": ("problem = classifier\ntrain_n = 60\nhidden = 8\n"
+                                     "max_iter = 20\nactivation = smooth-max\n"
+                                     "smooth_c = 0.25\nbeta = 3\n"),
 }
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
