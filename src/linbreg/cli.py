@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .exceptions import ConfigError, NotConvergedError, NumericsError
+from .exceptions import ConfigError, NumericsError
 from .experiment import apply_overrides, build_experiment, parse_config, run_experiment
 from .verify import finite_difference_gradient_check
 
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, NotConvergedError, np.linalg.LinAlgError) as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     print(f"stopped: {log.stop_reason} after {log.iterations} iterations, "

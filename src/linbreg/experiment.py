@@ -41,6 +41,7 @@ from .problems.pgm import read_pgm, write_pgm
 from .problems.quadratic import random_psd_quadratic
 from .regularizers import (
     L1,
+    TV_BUDGET,
     NuclearNorm,
     SeparableSum,
     SimplexIndicator,
@@ -140,7 +141,10 @@ _KEYS = {
     "eps_decrease": (float, None, None,
                      lambda v, c: BacktrackingPolicy(tau0=1.0, eps_decrease=v)),
     "max_iter": (int, 100, None, lambda v, c: StoppingRule(max_iter=v)),
-    "discrepancy_eta": (_parse_finite, None, None, None),
+    # a quadratic's energy can be negative; the other energies cannot
+    "discrepancy_eta": (_parse_finite, None, None,
+                        lambda v, c: _require(v >= 0 or c["problem"] == "quadratic",
+                                              "nonnegative for deconv, mri and classifier")),
     "iterate_gap_tol": (_parse_finite, None, None, _nonnegative),
     "seed": (int, 0, None, _nonnegative),
     "out": (str, "", None, None),
@@ -148,8 +152,8 @@ _KEYS = {
                   lambda v, c: _require(all(k >= 1 for k in v), "iterations of at least 1")),
     # the image's TV weight
     "alpha": (_parse_finite, {"deconv": 0.05, "mri": 1.0}, ("deconv", "mri"), _nonnegative),
-    "tv_tol": (_parse_finite, 1e-8, ("deconv", "mri"), _nonnegative),
-    "tv_maxit": (int, 400, ("deconv", "mri"), lambda v, c: PdhgConfig(maxit=v)),
+    "tv_tol": (_parse_finite, TV_BUDGET.tol, ("deconv", "mri"), _nonnegative),
+    "tv_maxit": (int, TV_BUDGET.maxit, ("deconv", "mri"), lambda v, c: PdhgConfig(maxit=v)),
     # deconv
     "height": (int, 32, ("deconv",), _at_least_1),
     "width": (int, 32, ("deconv",), _at_least_1),
@@ -295,14 +299,10 @@ class _Built:
 
 
 def _image_part(cfg: ExperimentConfig, shape):
-    """TV with weight ``alpha`` on an image block, or Zero when alpha is 0.
-
-    Budget-mode inner solves: an exhausted budget returns the best iterate,
-    and the run's warm start improves it across outer iterations.
-    """
+    """TV with weight ``alpha`` on an image block, or Zero when alpha is 0."""
     if cfg["alpha"] > 0:
         tv_cfg = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
-        return TotalVariation2D(cfg["alpha"], shape, config=tv_cfg, strict=False)
+        return TotalVariation2D(cfg["alpha"], shape, config=tv_cfg)
     return Zero()
 
 

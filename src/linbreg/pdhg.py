@@ -19,7 +19,7 @@ from .tensor_ops import check_image
 SIGMA = TAU_INNER = 1.0 / np.sqrt(8.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PdhgConfig:
     """Stopping parameters: relative gap tolerance and iteration budget."""
 

@@ -33,6 +33,9 @@ FEAS_TOL = 1e-9
 
 INF = float("inf")
 
+# TotalVariation2D's default inner budget; the CLI's tv_tol and tv_maxit defaults
+TV_BUDGET = pdhg.PdhgConfig(tol=1e-8, maxit=400)
+
 
 # ---------------------------------------------------------------------------
 # Bregman-distance calculus
@@ -358,23 +361,25 @@ class TotalVariation2D(BregmanFunction):
     the new lam, cutting inner iterations when consecutive arguments are close
     (as they are along an outer solver run).  A call that raises keeps nothing.
 
-    With ``strict=False`` an exhausted inner iteration budget returns the best
-    iterate found instead of raising; a prox argument for which no inner gap
-    is finite raises ``NumericsError`` either way.  The inexactness need not
-    vanish along an outer run: on 32x32 blind deconvolution with
-    ``maxit=400`` every warm-started call exhausted its budget, the relative
-    gap stalling at 4e-5 to 6e-5.  The stored q is then only an epsilon-
-    subgradient of R at the new iterate; no log reports the gap.
+    A call stops at relative gap ``config.tol`` or after ``config.maxit``
+    inner iterations, whichever comes first, and returns the best iterate
+    found; ``warm["tv"][1].gap`` is its gap.  The default ``config`` is
+    ``TV_BUDGET``, the budget a run can afford.  A prox argument for which no
+    inner gap is finite raises ``NumericsError``.  For a one-off accurate
+    solve, ``pdhg.pdhg_tv_prox`` raises ``NotConvergedError`` when it misses
+    its tolerance.  The inexactness need not vanish along an outer run: on
+    32x32 blind deconvolution every warm-started call exhausted the default
+    budget, the relative gap stalling at 4e-5 to 6e-5.  The stored q is then
+    only an epsilon-subgradient of R at the new iterate; no log reports the
+    gap.
     """
 
-    def __init__(self, alpha: float, shape, config: pdhg.PdhgConfig | None = None,
-                 strict: bool = True):
+    def __init__(self, alpha: float, shape, config: pdhg.PdhgConfig = TV_BUDGET):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
         self.shape = tuple(shape)
-        self.config = config if config is not None else pdhg.PdhgConfig()
-        self.strict = bool(strict)
+        self.config = config
 
     def _img(self, u):
         return np.asarray(u, dtype=np.float64).reshape(self.shape)
@@ -394,8 +399,6 @@ class TotalVariation2D(BregmanFunction):
         try:
             res = pdhg.pdhg_tv_prox(self._img(z), lam, self.config, dual0=dual0)
         except NotConvergedError as err:
-            if self.strict:
-                raise
             res = err.result
         if warm is not None:
             warm["tv"] = (lam, res)

@@ -11,24 +11,18 @@ import numpy as np
 import scipy.fft
 
 
-def as_tensor(data, shape=None, allow_complex: bool = False) -> np.ndarray:
-    """Convert user input to a dense float (or complex) array and validate it.
+def as_tensor(data) -> np.ndarray:
+    """Convert user input to a dense float array and validate it.
 
-    Rejects non-finite entries and, when ``shape`` is given, any shape
-    mismatch.  Finite-ness is only enforced here, at the API boundary;
-    internal operations trust their inputs.
+    Rejects complex and non-finite entries.  Finite-ness is only enforced
+    here, at the API boundary; internal operations trust their inputs.
     """
     arr = np.asarray(data)
     if np.iscomplexobj(arr):
-        if not allow_complex:
-            raise ValueError("complex input where a real array was expected")
-        arr = arr.astype(np.complex128)
-    else:
-        arr = arr.astype(np.float64)
+        raise ValueError("complex input where a real array was expected")
+    arr = arr.astype(np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("input contains NaN or Inf entries")
-    if shape is not None and tuple(arr.shape) != tuple(shape):
-        raise ValueError(f"expected shape {tuple(shape)}, got {arr.shape}")
     return arr
 
 

@@ -240,6 +240,9 @@ def test_criterion_06_prox_oracle_tv():
     # 1xN step signal
     z1 = np.array([[0.0, 0.0, 4.0, 4.0, 0.0, 0.0]])
     R1 = TotalVariation2D(1.0, (1, 6), config=PdhgConfig(tol=1e-10, maxit=100000))
+    warm = {}
+    R1.prox(z1.ravel(), 1.0, warm)
+    assert warm["tv"][1].gap <= R1.config.tol
     u_oracle, og = tv_prox_dual_oracle(z1, 1.0, gap_tol=1e-12)
     assert og <= 1e-12
     gap = prox_oracle_check(R1, z1.ravel(), 1.0, iters=0,
@@ -252,6 +255,9 @@ def test_criterion_06_prox_oracle_tv():
         z = rng.standard_normal((8, 8))
         lam = float(rng.uniform(0.2, 0.35))
         R = TotalVariation2D(lam, (8, 8), config=PdhgConfig(tol=1e-9, maxit=200000))
+        warm = {}
+        R.prox(z.ravel(), 1.0, warm)
+        assert warm["tv"][1].gap <= R.config.tol
         u_oracle, og = tv_prox_dual_oracle(z, lam, gap_tol=1e-12)
         assert og <= 1e-12
         gap = prox_oracle_check(R, z.ravel(), 1.0, iters=0,
@@ -271,8 +277,7 @@ def _deconv_setup(sigma=0.0, seed=0, N=32):
 
 
 def _bregman_deconv_regularizer(alpha, N):
-    tv = TotalVariation2D(alpha, (N, N), config=PdhgConfig(tol=1e-8, maxit=400),
-                          strict=False)
+    tv = TotalVariation2D(alpha, (N, N), config=PdhgConfig(tol=1e-8, maxit=400))
     parts = [(tv, N * N)] if alpha > 0 else [(Zero(), N * N)]
     parts.append((SimplexIndicator(), 15, False))
     return SeparableSum(parts)
@@ -331,8 +336,7 @@ def test_criterion_08_discrepancy_stopping():
     eta = discrepancy_eta(sigma, N, N)
     assert eta == pytest.approx(1.2 * sigma ** 2 / (2.0 * np.sqrt(N * N)), rel=1e-15)
     prob, E, u0 = _deconv_setup(sigma=sigma, seed=0, N=N)
-    tv = TotalVariation2D(1e-3, (N, N), config=PdhgConfig(tol=1e-10, maxit=400),
-                          strict=False)
+    tv = TotalVariation2D(1e-3, (N, N), config=PdhgConfig(tol=1e-10, maxit=400))
     R = SeparableSum([(tv, N * N),
                       (SimplexIndicator(), 15, False)])
     st0 = initial_state(E, R, u0, tau0=2.0)

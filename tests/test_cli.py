@@ -63,6 +63,12 @@ OUT_OF_RANGE = [
     ("train_n", "problem = classifier\ntrain_n = 0\n", "train_n"),
     ("coils", "problem = mri\nn = 8\ncoils = 0\n", "coils"),
     ("sigma", "problem = deconv\nheight = 8\nwidth = 8\nsigma = -1\n", "sigma"),
+    # a target below a nonnegative energy, which no run can reach
+    ("deconv-discrepancy_eta", "problem = deconv\nheight = 8\nwidth = 8\ndiscrepancy_eta = -1\n",
+     "discrepancy_eta"),
+    ("mri-discrepancy_eta", "problem = mri\nn = 8\ndiscrepancy_eta = -1\n", "discrepancy_eta"),
+    ("classifier-discrepancy_eta", "problem = classifier\ntrain_n = 20\ndiscrepancy_eta = -1\n",
+     "discrepancy_eta"),
     # names no factory accepts: run failed with a traceback, or for reg exited 2
     # only after check had printed ok
     ("activation", "problem = classifier\ntrain_n = 20\nactivation = bogus\n", "activation"),
@@ -160,8 +166,11 @@ class TestOutOfRange:
         "problem = quadratic\nn = 3\niterate_gap_tol = 0\n",
         "problem = quadratic\nn = 3\nsnapshots = 1\n",
         DIGITS % ("images.idx", "labels.idx"),
+        # a quadratic's energy can be negative, and so can its target
+        "problem = quadratic\nn = 3\ndiscrepancy_eta = -1\n",
     ], ids=["mri", "deconv", "deconv-full-kernel", "quadratic", "classifier", "mask_p-0",
-            "mask_p-1", "tv_tol-0", "iterate_gap_tol-0", "snapshots-1", "data-files"])
+            "mask_p-1", "tv_tol-0", "iterate_gap_tol-0", "snapshots-1", "data-files",
+            "quadratic-discrepancy_eta"])
     def test_smallest_values_run(self, tmp_path, text):
         write_digit_files(tmp_path)
         cfg = write_cfg(tmp_path, text.format(tmp=tmp_path) + "max_iter = 2\n")

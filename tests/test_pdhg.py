@@ -17,6 +17,16 @@ class TestConfig:
     def test_defaults_valid(self):
         assert SIGMA * TAU_INNER * 8.0 <= 1.0 + 1e-12
 
+    def test_frozen(self):
+        # TotalVariation2D instances share one default config
+        from dataclasses import FrozenInstanceError
+
+        cfg = PdhgConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.maxit = 5
+        with pytest.raises(FrozenInstanceError):
+            TotalVariation2D(1.0, (2, 2)).config.tol = 1.0
+
 
 class TestTrivialInputs:
     def test_lambda_zero_returns_argument(self):
@@ -274,7 +284,9 @@ class TestAliasing:
     def test_single_row_or_column_through_regularizer(self, shape):
         z = np.random.default_rng(22).standard_normal(shape)
         R = TotalVariation2D(0.4, shape, config=PdhgConfig(tol=1e-10, maxit=5000))
-        u = R.prox(z.ravel(), 1.0)
+        warm = {}
+        u = R.prox(z.ravel(), 1.0, warm)
+        assert warm["tv"][1].gap <= R.config.tol
         oracle_u, oracle_gap = tv_prox_dual_oracle(z, 0.4, gap_tol=1e-12)
         assert oracle_gap <= 1e-12
         assert u.shape == (z.size,)
@@ -300,9 +312,14 @@ class TestNonFinite:
         with pytest.raises(NumericsError, match="no finite gap"):
             pdhg_tv_prox(z, 1e300, PdhgConfig(maxit=3))
 
-    def test_non_strict_regularizer_raises_numerics_error(self):
-        R = TotalVariation2D(1.0, (4, 4), config=PdhgConfig(maxit=3), strict=False)
+    def test_regularizer_raises_numerics_error(self):
+        # and the raising call leaves the previous call's warm record in place
+        R = TotalVariation2D(1.0, (4, 4), config=PdhgConfig(maxit=3))
+        warm = {}
+        R.prox(np.arange(16.0), 1.0, warm)
+        last = warm["tv"]
         z = np.full(16, 1e305)
         z[::2] = -1e305
         with pytest.raises(NumericsError):
-            R.prox(z, 1e300)
+            R.prox(z, 1e300, warm)
+        assert warm["tv"] is last

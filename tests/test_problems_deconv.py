@@ -104,8 +104,7 @@ class TestScaleSpaceTrend:
 
         prob = make_synthetic_deconv(11, 16, 16, (3, 3), sigma=0.0)
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-        tv = TotalVariation2D(0.05, (16, 16), config=PdhgConfig(tol=1e-7, maxit=200),
-                              strict=False)
+        tv = TotalVariation2D(0.05, (16, 16), config=PdhgConfig(tol=1e-7, maxit=200))
         R = SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel)])
         u0 = E.pack(np.zeros((16, 16)), np.full((3, 3), 1.0 / 9.0))
         st0 = initial_state(E, R, u0, tau0=2.0)
@@ -122,3 +121,31 @@ class TestScaleSpaceTrend:
         early = np.mean(tvs[burn:2 * burn])
         late = np.mean(tvs[-burn:])
         assert late >= early
+
+
+class TestLibraryDefaults:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_default_tv_runs_the_readme_size_problem(self, seed):
+        # with TotalVariation2D's defaults a library run of the README-size
+        # deconv problem goes on when the first, cold prox call exhausts its
+        # inner budget
+        from linbreg import (
+            BacktrackingPolicy,
+            SeparableSum,
+            SimplexIndicator,
+            StoppingRule,
+            TotalVariation2D,
+            initial_state,
+            run,
+        )
+
+        prob = make_synthetic_deconv(seed, 32, 32)
+        E = BlindDeconvObjective(prob.f, prob.kernel_shape)
+        tv = TotalVariation2D(0.05, E.image_shape)
+        R = SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel)])
+        u0 = E.pack(np.zeros((32, 32)), np.full(prob.kernel_shape, 1.0 / E.n_kernel))
+        res = run(E, R, initial_state(E, R, u0, tau0=2.0), BacktrackingPolicy(tau0=2.0),
+                  StoppingRule(max_iter=5))
+        assert len(res.records) == 5
+        _, last = res.state.warm[(0, E.n_image)]["tv"]
+        assert 1 <= last.iters <= tv.config.maxit and np.isfinite(last.gap)

@@ -395,7 +395,9 @@ class TestInstancesCommon:
         R = TotalVariation2D(0.5, (4, 4))
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal((2, 16))
-        d_out = np.linalg.norm(R.prox(x, 1.0) - R.prox(y, 1.0))
+        warm_x, warm_y = {}, {}
+        d_out = np.linalg.norm(R.prox(x, 1.0, warm_x) - R.prox(y, 1.0, warm_y))
+        assert max(warm_x["tv"][1].gap, warm_y["tv"][1].gap) <= R.config.tol
         assert d_out <= np.linalg.norm(x - y) + 1e-5
 
     @pytest.mark.parametrize("seed", range(3))

@@ -115,6 +115,9 @@ class TestProxOracleCheck:
     def test_tv_prox_against_dual_oracle(self):
         z = np.array([[0.0, 0.0, 4.0, 4.0, 0.0, 0.0]])
         R = TotalVariation2D(1.0, (1, 6))
+        warm = {}
+        R.prox(z.ravel(), 1.0, warm)
+        assert warm["tv"][1].gap <= R.config.tol
         u_oracle, og = tv_prox_dual_oracle(z, 1.0, gap_tol=1e-12)
         gap = prox_oracle_check(R, z.ravel(), 1.0, iters=0,
                                 extra_candidates=[u_oracle.ravel()])

@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 48 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 51 fixed CLI runs.
 
-Runs sixteen configs under each of the three solvers (``linbreg``,
+Runs seventeen configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -48,6 +48,8 @@ CONFIGS = {
     # all run their 400 inner iterations, these take both inner exits
     "deconv-tvtol": ("problem = deconv\nheight = 16\nwidth = 16\ntv_tol = 1e-4\n"
                      "tv_maxit = 73\nmax_iter = 20\n"),
+    # the same for MRI's two image blocks, which share one TV
+    "mri-tvtol": "problem = mri\nn = 16\ntv_tol = 1e-3\ntv_maxit = 73\nmax_iter = 15\n",
     # alpha1 = 0 puts the outer layer's conjugate at the tightest bound,
     # FEAS_TOL; the soft-max output is what prediction_rate reads from the state
     "classifier-alpha0-softmax": ("problem = classifier\ntrain_n = 40\nhidden = 6\n"
