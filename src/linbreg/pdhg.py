@@ -49,6 +49,7 @@ def _project_ball(p: np.ndarray, lam: float) -> np.ndarray:
     return p * scale[None, :, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NumericsError reports a non-finite run
 def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
                  dual0: np.ndarray | None = None) -> PdhgResult:
     """Solve the TV proximal subproblem to a relative primal-dual gap <= cfg.tol.
@@ -95,88 +96,110 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
 
     # The workspace.  Each step below repeats the element operations of
     # grad2d_forward, div2d and _project_ball in their order, so the bits
-    # match the allocating form of the loop; the trailing row of channel 0
-    # and column of channel 1 of g and gc stay zero, as grad2d_forward's do.
+    # match the allocating form of the loop.  Every ufunc call reads and
+    # writes contiguous memory (only the fills that zero one column are
+    # strided), and nothing is allocated per iteration.
+    # Column differences are taken on flat views, x_flat[1:] - x_flat[:-1];
+    # that also writes the cross-row difference x[i+1, 0] - x[i, W-1] into
+    # entry (i, W-1), which one fill zeroes again, so g and gc keep the zero
+    # trailing row (channel 0) and column (channel 1) of grad2d_forward.
+    # The divergence reads channel 1 from p1z, a copy of p[1] with its last
+    # column zeroed, on flat views too: where div2d skips an entry, it adds
+    # or subtracts +0.0, which changes no value: div starts at +0.0, and
+    # x + y or x - y is -0.0 only where x is.  The projection still sees the
+    # true p[1], nonzero last column included.
     p = np.zeros((2, H, W))
     g = np.zeros((2, H, W))  # SIGMA * grad(ubar)
     gc = np.zeros((2, H, W))  # grad(cand), for the gap check
     sq = np.empty((2, H, W))
     best_p = np.empty((2, H, W))
-    mag, div_p, cand, best_u, u_new = (np.empty((H, W)) for _ in range(5))
+    mag, div_p, cand, best_u, u_new, p1z = (np.empty((H, W)) for _ in range(6))
     u = z.copy()
     ubar = z.copy()
 
+    p0, p1 = p
     sq0, sq1 = sq
-    p_rows, p_cols = p[0, : H - 1], p[1, :, : W - 1]
-    g_rows, g_cols = g[0, : H - 1], g[1, :, : W - 1]
-    gc_rows, gc_cols = gc[0, : H - 1], gc[1, :, : W - 1]
+    p_rows = p0[: H - 1]
+    g_rows, g_cols, g_edge = g[0, : H - 1], g[1].ravel()[:-1], g[1, :, W - 1]
+    gc_rows, gc_cols, gc_edge = gc[0, : H - 1], gc[1].ravel()[:-1], gc[1, :, W - 1]
     ubar_down, ubar_up = ubar[1:], ubar[: H - 1]
-    ubar_right, ubar_left = ubar[:, 1:], ubar[:, : W - 1]
+    ubar_next, ubar_prev = ubar.ravel()[1:], ubar.ravel()[:-1]
     cand_down, cand_up = cand[1:], cand[: H - 1]
-    cand_right, cand_left = cand[:, 1:], cand[:, : W - 1]
-    div_up, div_down = div_p[: H - 1], div_p[1:]
-    div_left, div_right = div_p[:, : W - 1], div_p[:, 1:]
+    cand_next, cand_prev = cand.ravel()[1:], cand.ravel()[:-1]
     div_flat, gc_flat, p_flat = div_p.ravel(), gc.ravel(), p.ravel()
+    div_up, div_down = div_p[: H - 1], div_p[1:]
+    div_prev, div_next = div_flat[:-1], div_flat[1:]
+    p1z_prev, p1z_edge = p1z.ravel()[:-1], p1z[:, W - 1]
     denom = 1.0 + TAU_INNER
+    # the loop is bound by per-call overhead at these sizes: look names up once
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sqrt, maximum, copyto = np.sqrt, np.maximum, np.copyto
 
     def project():
         if lam == 0:  # the 0/0 of lam / max(mag, lam) would differ from _project_ball
             p[...] = _project_ball(p, lam)
             return
-        np.multiply(p, p, out=sq)
-        np.add(sq0, sq1, out=mag)
-        np.sqrt(mag, out=mag)
+        multiply(p, p, out=sq)
+        add(sq0, sq1, out=mag)
+        sqrt(mag, out=mag)
         # lam / lam is exactly 1, so this is _project_ball's scale bit for bit
-        np.maximum(mag, lam, out=mag)
-        np.divide(lam, mag, out=mag)
-        np.multiply(p, mag, out=p)
+        maximum(mag, lam, out=mag)
+        divide(lam, mag, out=mag)
+        multiply(p0, mag, out=p0)
+        multiply(p1, mag, out=p1)
 
     if dual0 is not None and np.asarray(dual0).shape == (2,) + z.shape:
-        np.copyto(p, dual0)
+        copyto(p, dual0)
         project()
 
     best_gap = np.inf
     maxit = cfg.maxit
     for it in range(1, maxit + 1):
-        np.subtract(ubar_down, ubar_up, out=g_rows)
-        np.subtract(ubar_right, ubar_left, out=g_cols)
-        np.multiply(g, SIGMA, out=g)
-        np.add(p, g, out=p)
+        subtract(ubar_down, ubar_up, out=g_rows)
+        subtract(ubar_next, ubar_prev, out=g_cols)
+        g_edge.fill(0.0)
+        multiply(g, SIGMA, out=g)
+        add(p, g, out=p)
         project()
+        copyto(p1z, p1)
+        p1z_edge.fill(0.0)
         div_p.fill(0.0)
-        np.add(div_up, p_rows, out=div_up)
-        np.subtract(div_down, p_rows, out=div_down)
-        np.add(div_left, p_cols, out=div_left)
-        np.subtract(div_right, p_cols, out=div_right)
+        add(div_up, p_rows, out=div_up)
+        subtract(div_down, p_rows, out=div_down)
+        add(div_prev, p1z_prev, out=div_prev)
+        subtract(div_next, p1z_prev, out=div_next)
 
         # gap evaluation costs about half an update; check on a schedule
         if it <= 50 or it % 10 == 0 or it == maxit:
             # dual-feasible primal candidate: exact minimiser of the Lagrangian at p
-            np.add(z, div_p, out=cand)
-            np.subtract(cand_down, cand_up, out=gc_rows)
-            np.subtract(cand_right, cand_left, out=gc_cols)
-            np.multiply(gc, gc, out=sq)
-            np.add(sq0, sq1, out=mag)
-            np.sqrt(mag, out=mag)
-            tv_cand = float(np.sum(mag))
+            add(z, div_p, out=cand)
+            subtract(cand_down, cand_up, out=gc_rows)
+            subtract(cand_next, cand_prev, out=gc_cols)
+            gc_edge.fill(0.0)
+            multiply(gc, gc, out=sq)
+            add(sq0, sq1, out=mag)
+            sqrt(mag, out=mag)
+            tv_cand = float(add.reduce(mag, axis=None))
             primal = 0.5 * float(np.dot(div_flat, div_flat)) + lam * tv_cand
             gap_abs = lam * tv_cand - float(np.vdot(gc_flat, p_flat))
             gap_rel = gap_abs / (1.0 + abs(primal))
             if gap_rel < best_gap:
                 best_gap = gap_rel
-                np.copyto(best_u, cand)
-                np.copyto(best_p, p)
+                copyto(best_u, cand)
+                copyto(best_p, p)
 
             if best_gap <= cfg.tol:
                 return PdhgResult(u=best_u, gap=best_gap, iters=it, dual=best_p)
+            multiply(cand, TAU_INNER, out=ubar)  # z + div p is div p + z bit for bit
+        else:
+            add(div_p, z, out=ubar)
+            multiply(ubar, TAU_INNER, out=ubar)
 
-        # u+ = (u + TAU (div p + z)) / (1 + TAU), then ubar = u+ + (u+ - u)
-        np.add(div_p, z, out=ubar)
-        np.multiply(ubar, TAU_INNER, out=ubar)
-        np.add(u, ubar, out=u_new)
-        np.divide(u_new, denom, out=u_new)
-        np.subtract(u_new, u, out=ubar)
-        np.add(u_new, ubar, out=ubar)
+        # ubar = TAU (div p + z); u+ = (u + ubar) / (1 + TAU), then ubar = u+ + (u+ - u)
+        add(u, ubar, out=u_new)
+        divide(u_new, denom, out=u_new)
+        subtract(u_new, u, out=ubar)
+        add(u_new, ubar, out=ubar)
         u, u_new = u_new, u
 
     if best_gap == np.inf:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import pdhg
 from .exceptions import NotConvergedError, UnsupportedOperation
-from .tensor_ops import dct2, idct2, svd_thin, total_variation
+from .tensor_ops import dct2, div2d, grad2d_forward, idct2, svd_thin, total_variation
 
 # Feasibility band used when evaluating indicator-type values and conjugates;
 # certifies subgradients produced by floating-point prox computations.
@@ -405,8 +405,6 @@ class TotalVariation2D(BregmanFunction):
         return res.u.reshape(z.shape)
 
     def initial_subgradient(self, u):
-        from .tensor_ops import div2d, grad2d_forward
-
         u = np.asarray(u, dtype=np.float64)
         g = grad2d_forward(self._img(u))
         mag = np.sqrt(g[0] ** 2 + g[1] ** 2)

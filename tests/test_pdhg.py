@@ -243,6 +243,15 @@ class TestDigestPins:
         assert digest(*solve(pdhg_loop_reference, *args)) == PIN_SHA[name]
 
 
+def shape_id(shape):
+    return f"{shape[0]}x{shape[1]}"
+
+
+def same_bits(*args):
+    """Whether the kernel and the reference loop return the same bits on ``args``."""
+    return digest(*solve(pdhg_tv_prox, *args)) == digest(*solve(pdhg_loop_reference, *args))
+
+
 class TestLoopReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_equal_bits_on_seeded_arguments(self, seed):
@@ -261,6 +270,64 @@ class TestLoopReference:
     def test_equal_bits_on_constant_image(self):
         args = (np.full((5, 5), 1.3), 2.0, PdhgConfig(tol=1e-7, maxit=100), None)
         assert digest(*solve(pdhg_tv_prox, *args)) == digest(*solve(pdhg_loop_reference, *args))
+
+    # The kernel takes column differences and divergence terms on flat views,
+    # which cross row ends; the cases below are where that could show.
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_bits_with_signed_zeros_in_argument(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        z = rng.standard_normal((6, 7))
+        z[rng.uniform(size=z.shape) < 0.5] = 0.0
+        z[rng.uniform(size=z.shape) < 0.5] *= -1.0  # -0.0 where the zero entries flip
+        assert np.signbit(z[z == 0.0]).any() and not np.signbit(z[z == 0.0]).all()
+        for dual0 in (None, rng.standard_normal((2,) + z.shape)):
+            assert same_bits(z, 0.3, PdhgConfig(tol=1e-10, maxit=120), dual0)
+
+    def test_equal_bits_on_negative_zero_image(self):
+        assert same_bits(np.full((4, 5), -0.0), 0.5, PdhgConfig(tol=1e-7, maxit=60), None)
+
+    @pytest.mark.parametrize("shape", [(5, 6), (1, 6), (6, 1), (2, 2)], ids=shape_id)
+    @pytest.mark.parametrize("edge", ["+0", "-0", "nonzero", "large"])
+    def test_equal_bits_with_dual0_on_structural_zeros(self, shape, edge):
+        # p[0, H-1, :] and p[1, :, W-1] multiply zero gradient entries; they
+        # still enter the projection, so they must reach it unchanged
+        H, W = shape
+        rng = np.random.default_rng(1200 + 10 * H + W)
+        z = rng.standard_normal(shape)
+        dual0 = 0.2 * rng.standard_normal((2, H, W))
+        dual0[rng.uniform(size=dual0.shape) < 0.2] = -0.0
+        fill = {"+0": 0.0, "-0": -0.0, "nonzero": None, "large": 5.0}[edge]
+        for k, index in ((0, (H - 1, slice(None))), (1, (slice(None), W - 1))):
+            if fill is None:
+                dual0[(k,) + index] = rng.standard_normal(dual0[(k,) + index].shape)
+            else:
+                dual0[(k,) + index] = fill
+        assert same_bits(z, 0.4, PdhgConfig(tol=1e-10, maxit=120), dual0)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (2, 2), (1, 9), (9, 1), (2, 9), (9, 2)],
+                             ids=shape_id)
+    @pytest.mark.parametrize("dual0", [None, "random", "chained"])
+    def test_equal_bits_with_one_or_two_rows_or_columns(self, shape, dual0):
+        for tol in (1e-12, 1e-4):  # exhausted on the schedule, and an early exit
+            assert same_bits(*pin_args(shape, 1300 + shape[0] + 10 * shape[1], 0.35, tol, 130,
+                                       dual0))
+
+    @pytest.mark.parametrize("shape", [(3, 40), (40, 3), (64, 64)], ids=shape_id)
+    @pytest.mark.parametrize("dual0", [None, "chained"])
+    def test_equal_bits_on_thin_and_large_images(self, shape, dual0):
+        assert same_bits(*pin_args(shape, 1400 + shape[0], 0.1, 1e-8, 400, dual0, 0.3))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (1, 5), (5, 1), (3, 8)], ids=shape_id)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_argument_has_no_finite_gap_on_both_sides(self, shape, bad):
+        z, lam, cfg, dual0 = pin_args(shape, 1500, 0.3, 1e-7, 75, "random")
+        z[-1, 0] = bad
+        with pytest.raises(NumericsError, match="no finite gap"):
+            pdhg_tv_prox(z, lam, cfg, dual0=dual0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = solve(pdhg_loop_reference, z, lam, cfg, dual0)[2]
+        assert gap == np.inf  # the reference's form of the same exit
 
 
 class TestAliasing:
@@ -302,7 +369,8 @@ class TestAliasing:
             TotalVariation2D(0.5, (1, 1)).prox(np.array([1.0]), 1.0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# NumericsError is the one report of an overflow: a RuntimeWarning fails these tests
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e305])
     def test_no_finite_gap_raises_numerics_error(self, bad):
