@@ -262,10 +262,11 @@ class TestSolverErrorExitCode:
         assert "solver error" in capsys.readouterr().err
         assert not out.exists()
 
-    # the first step overflows the TV prox argument, so no inner gap is finite
+    # the first step overflows the TV prox argument, so no inner gap is finite;
+    # the NumericsError is the one report of it: a RuntimeWarning fails these tests
     OVERFLOW = "problem = deconv\nheight = 8\nwidth = 8\ntau0 = 1e305\nmax_iter = 3\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_tv_prox_exits_3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.OVERFLOW)
         out = tmp_path / "out"
@@ -273,14 +274,14 @@ class TestSolverErrorExitCode:
         assert "solver error" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_run_removes_the_outermost_directory_it_created(self, tmp_path):
         cfg = write_cfg(tmp_path, self.OVERFLOW)
         assert main(["run", cfg, "--out", str(tmp_path / "a" / "b" / "out")]) == 3
         assert not (tmp_path / "a").exists()
         assert (tmp_path / "exp.cfg").is_file()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failed_run_keeps_an_existing_output_directory(self, tmp_path):
         # only what the run created goes: here the snapshots directory
         cfg = write_cfg(tmp_path, self.OVERFLOW + "snapshots = 1\n")

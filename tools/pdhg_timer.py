@@ -2,12 +2,11 @@
 
 Loads ``linbreg`` from each given source directory under its own module name,
 then interleaves warm-started 400-iteration ``pdhg_tv_prox`` calls at 16x16,
-32x32 and 64x64 (the deconvolution and MRI image sizes) over the trees for a
-number of rounds, rotating which tree goes first.  Prints, per size and tree,
-the minimum and lower-quartile call time and their ratios to the first tree:
+32x32 and 64x64 (the deconvolution and MRI image sizes) over the trees for
+40 rounds, rotating which tree goes first.  Prints, per size and tree, the
+minimum and lower-quartile call time and their ratios to the first tree:
 
     python tools/pdhg_timer.py /path/to/other/checkout/src src
-    python tools/pdhg_timer.py src --rounds 60
 
 Every call's ``(u, dual, gap, iters)`` is hashed; the script exits 1 if any
 call differs from the first tree's call on the same arguments.  Timing in one
@@ -34,6 +33,7 @@ SIZES = (16, 32, 64)
 LAM = 0.1
 TOL = 1e-8  # the TV tolerance of a deconv run: warm calls here run all 400 iterations
 MAXIT = 400
+ROUNDS = 40
 
 
 def load_tree(src: Path, k: int):
@@ -79,16 +79,13 @@ def arguments(n: int, pdhg):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("src", nargs="+", type=Path, help="source directories holding linbreg/")
-    ap.add_argument("--rounds", type=int, default=40, help="timed rounds, at least 30")
     args = ap.parse_args(argv)
-    if args.rounds < 30:
-        ap.error("--rounds must be at least 30")
 
     trees = [load_tree(src.resolve(), k) for k, src in enumerate(args.src)]
     cases = {n: arguments(n, trees[0]) for n in SIZES}
     times = {(n, k): [] for n in SIZES for k in range(len(trees))}
     differ = set()
-    for r in range(args.rounds + 1):  # round 0 warms up and is not timed
+    for r in range(ROUNDS + 1):  # round 0 warms up and is not timed
         order = list(range(len(trees)))
         order = order[r % len(order):] + order[: r % len(order)]
         for n, (z, dual0) in cases.items():
@@ -106,7 +103,7 @@ def main(argv=None) -> int:
                 if r:
                     times[n, k].append(dt)
 
-    print(f"{args.rounds} rounds of warm {MAXIT}-iteration calls, lam = {LAM}; "
+    print(f"{ROUNDS} rounds of warm {MAXIT}-iteration calls, lam = {LAM}; "
           "ratios are to the first tree")
     print(f"{'size':>6}  {'tree':<40} {'min ms':>8} {'q1 ms':>8} {'min x':>6} {'q1 x':>6}")
     for n in SIZES:
