@@ -1,8 +1,9 @@
 """Config-driven experiment runs with CSV monitor logs and iterate snapshots.
 
-A configuration is a plain-text file of ``key = value`` lines (``#`` starts a
-comment).  Unknown keys are rejected with their line number.  Every run writes
-into its output directory:
+A configuration is a plain-text file of ``key = value`` lines; ``#`` starts a
+comment that runs to the end of its line, so no value contains ``#``.  Unknown
+keys are rejected with their line number.  Every run writes into its output
+directory:
 
 * ``log.csv``           one row per accepted iteration (fixed, versioned header)
 * ``config.resolved``   every key the run used, defaults included
@@ -253,8 +254,8 @@ def parse_config(path) -> ExperimentConfig:
 def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
     given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {stripped!r}")

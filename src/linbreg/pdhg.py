@@ -41,14 +41,6 @@ class PdhgResult:
     dual: np.ndarray
 
 
-def _project_ball(p: np.ndarray, lam: float) -> np.ndarray:
-    """Project each 2-vector p[:, i, j] onto the Euclidean ball of radius lam."""
-    mag = np.sqrt(p[0] ** 2 + p[1] ** 2)
-    scale = np.ones_like(mag)
-    np.divide(lam, mag, out=scale, where=mag > lam)
-    return p * scale[None, :, :]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # NumericsError reports a non-finite run
 def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
                  dual0: np.ndarray | None = None) -> PdhgResult:
@@ -95,10 +87,10 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     H, W = z.shape
 
     # The workspace.  Each step below repeats the element operations of
-    # grad2d_forward, div2d and _project_ball in their order, so the bits
-    # match the allocating form of the loop.  Every ufunc call reads and
-    # writes contiguous memory (only the fills that zero one column are
-    # strided), and nothing is allocated per iteration.
+    # grad2d_forward, div2d and the projection onto the lam-ball in their
+    # order, so the bits match the allocating form of the loop.  Every ufunc
+    # call reads and writes contiguous memory (only the fills that zero one
+    # column are strided), and for lam > 0 nothing is allocated per iteration.
     # Column differences are taken on flat views, x_flat[1:] - x_flat[:-1];
     # that also writes the cross-row difference x[i+1, 0] - x[i, W-1] into
     # entry (i, W-1), which one fill zeroes again, so g and gc keep the zero
@@ -110,10 +102,10 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     # true p[1], nonzero last column included.
     p = np.zeros((2, H, W))
     g = np.zeros((2, H, W))  # SIGMA * grad(ubar)
-    gc = np.zeros((2, H, W))  # grad(cand), for the gap check
+    gc = np.zeros((2, H, W))  # grad(z + div p), for the gap check
     sq = np.empty((2, H, W))
     best_p = np.empty((2, H, W))
-    mag, div_p, cand, best_u, u_new, p1z = (np.empty((H, W)) for _ in range(6))
+    mag, div_p, best_u, u_new, p1z = (np.empty((H, W)) for _ in range(5))
     u = z.copy()
     ubar = z.copy()
 
@@ -124,8 +116,6 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     gc_rows, gc_cols, gc_edge = gc[0, : H - 1], gc[1].ravel()[:-1], gc[1, :, W - 1]
     ubar_down, ubar_up = ubar[1:], ubar[: H - 1]
     ubar_next, ubar_prev = ubar.ravel()[1:], ubar.ravel()[:-1]
-    cand_down, cand_up = cand[1:], cand[: H - 1]
-    cand_next, cand_prev = cand.ravel()[1:], cand.ravel()[:-1]
     div_flat, gc_flat, p_flat = div_p.ravel(), gc.ravel(), p.ravel()
     div_up, div_down = div_p[: H - 1], div_p[1:]
     div_prev, div_next = div_flat[:-1], div_flat[1:]
@@ -136,13 +126,17 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     sqrt, maximum, copyto = np.sqrt, np.maximum, np.copyto
 
     def project():
-        if lam == 0:  # the 0/0 of lam / max(mag, lam) would differ from _project_ball
-            p[...] = _project_ball(p, lam)
-            return
+        # scale each 2-vector of p by lam / mag where mag > lam, else by 1
         multiply(p, p, out=sq)
         add(sq0, sq1, out=mag)
         sqrt(mag, out=mag)
-        # lam / lam is exactly 1, so this is _project_ball's scale bit for bit
+        if lam == 0:
+            # lam / max(mag, lam) would be 0/0 where mag == 0, an underflowed
+            # square included; there the scale is 1, and lam / mag is lam
+            # itself, a zero of lam's sign, wherever mag > 0
+            multiply(p, np.where(mag == 0, 1.0, lam), out=p)
+            return
+        # lam / lam is exactly 1 where mag <= lam
         maximum(mag, lam, out=mag)
         divide(lam, mag, out=mag)
         multiply(p0, mag, out=p0)
@@ -169,12 +163,13 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
         add(div_prev, p1z_prev, out=div_prev)
         subtract(div_next, p1z_prev, out=div_next)
 
+        # ubar holds z + div p: the dual-feasible primal candidate, the exact
+        # minimiser of the Lagrangian at p
+        add(z, div_p, out=ubar)
         # gap evaluation costs about half an update; check on a schedule
         if it <= 50 or it % 10 == 0 or it == maxit:
-            # dual-feasible primal candidate: exact minimiser of the Lagrangian at p
-            add(z, div_p, out=cand)
-            subtract(cand_down, cand_up, out=gc_rows)
-            subtract(cand_next, cand_prev, out=gc_cols)
+            subtract(ubar_down, ubar_up, out=gc_rows)
+            subtract(ubar_next, ubar_prev, out=gc_cols)
             gc_edge.fill(0.0)
             multiply(gc, gc, out=sq)
             add(sq0, sq1, out=mag)
@@ -185,17 +180,14 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
             gap_rel = gap_abs / (1.0 + abs(primal))
             if gap_rel < best_gap:
                 best_gap = gap_rel
-                copyto(best_u, cand)
+                copyto(best_u, ubar)
                 copyto(best_p, p)
 
             if best_gap <= cfg.tol:
                 return PdhgResult(u=best_u, gap=best_gap, iters=it, dual=best_p)
-            multiply(cand, TAU_INNER, out=ubar)  # z + div p is div p + z bit for bit
-        else:
-            add(div_p, z, out=ubar)
-            multiply(ubar, TAU_INNER, out=ubar)
 
-        # ubar = TAU (div p + z); u+ = (u + ubar) / (1 + TAU), then ubar = u+ + (u+ - u)
+        # ubar = TAU (z + div p); u+ = (u + ubar) / (1 + TAU), then ubar = u+ + (u+ - u)
+        multiply(ubar, TAU_INNER, out=ubar)
         add(u, ubar, out=u_new)
         divide(u_new, denom, out=u_new)
         subtract(u_new, u, out=ubar)

@@ -14,12 +14,10 @@ from .mri import (
     ParallelMriProblem,
     make_mask,
     make_synthetic_mri,
-    mri_energy_grad,
 )
 from .classify import (
     ClassifierObjective,
     init_weights,
-    nn_energy_grad,
     nn_forward,
     synthetic_digits,
 )
@@ -38,9 +36,9 @@ __all__ = [
     "BlindDeconvObjective", "BlindDeconvProblem",
     "discrepancy_eta", "make_synthetic_deconv",
     "ParallelMriObjective", "ParallelMriProblem", "make_mask",
-    "make_synthetic_mri", "mri_energy_grad",
+    "make_synthetic_mri",
     "ClassifierObjective", "init_weights",
-    "nn_energy_grad", "nn_forward", "synthetic_digits",
+    "nn_forward", "synthetic_digits",
     "read_pgm", "write_pgm",
     "load_digit_set", "read_idx_images", "read_idx_labels",
     "write_idx_images", "write_idx_labels",

@@ -145,36 +145,6 @@ def nn_forward(As, D: np.ndarray, activation: Activation) -> np.ndarray:
     return _forward(As, D, activation)[0]
 
 
-def nn_energy_grad(As, D: np.ndarray, Y: np.ndarray, activation: Activation,
-                   loss_kind: str = "frobenius", loss_eps: float = 0.0,
-                   eps: float = 0.0):
-    """Energy value and per-layer gradients by reverse-mode differentiation.
-
-    Energy = loss(network(D), Y) + (eps/2) * sum_j ||A_j||_F^2.
-    """
-    return _energy_grad_output(As, D, Y, activation, loss_kind, loss_eps, eps)[:2]
-
-
-def _energy_grad_output(As, D, Y, activation, loss_kind, loss_eps, eps):
-    """``nn_energy_grad``, and the network output its forward pass computed."""
-    As = [np.asarray(A, dtype=np.float64) for A in As]
-    Y = np.asarray(Y, dtype=np.float64)
-    T, layers = _forward(As, D, activation)
-    if T.shape != Y.shape:
-        raise ValueError(f"network output {T.shape} does not match labels {Y.shape}")
-
-    value, G = loss_value_grad(loss_kind, T, Y, eps=loss_eps)
-    grads = []
-    innermost = len(As) - 1
-    for j, (A, (T_in, Z)) in enumerate(zip(As, layers)):
-        Gz = activation.backprop(Z, G)
-        grads.append(Gz @ T_in.T + eps * A)
-        if j < innermost:  # the innermost layer's input is D: no one reads its gradient
-            G = A.T @ Gz
-        value += 0.5 * eps * float(np.sum(A * A))
-    return value, grads, T
-
-
 class ClassifierObjective(SmoothObjective):
     """Stacked flattened-weights view of the classification energy on the
     training matrix ``D`` with one-hot labels ``Y``."""
@@ -184,7 +154,7 @@ class ClassifierObjective(SmoothObjective):
     def __init__(self, D, Y, shapes, activation_kind="rectifier", beta=5.0, smooth_c=0.0,
                  loss_kind="frobenius", loss_eps=0.0, eps=float(np.finfo(float).eps)):
         self.D = D
-        self.Y = Y
+        self.Y = np.asarray(Y, dtype=np.float64)
         self.loss_kind = loss_kind
         self.loss_eps = loss_eps
         self.eps = eps
@@ -197,6 +167,8 @@ class ClassifierObjective(SmoothObjective):
             raise ValueError("innermost layer does not match the data height")
         if self.shapes[0][0] != Y.shape[0]:
             raise ValueError("outermost layer does not match the label height")
+        if Y.shape[1:] != D.shape[1:]:
+            raise ValueError(f"labels {Y.shape} and data {D.shape} differ in their columns")
         self.sizes = [m * n for m, n in self.shapes]
         self.size = sum(self.sizes)
 
@@ -215,13 +187,24 @@ class ClassifierObjective(SmoothObjective):
         return np.concatenate([np.ravel(A) for A in As])
 
     def value_and_grad(self, x, facts=None):
-        """E and grad E at x; given ``facts``, stores the network output on D there
-        as the fact ``"output"``."""
-        value, grads, output = _energy_grad_output(
-            self.split(x), self.D, self.Y, self.activation,
-            self.loss_kind, self.loss_eps, self.eps)
+        """E and grad E at x by reverse-mode differentiation; given ``facts``,
+        stores the network output on D there as the fact ``"output"``.
+
+        E = loss(network(D), Y) + (eps/2) * sum_j ||A_j||_F^2.
+        """
+        As = [np.asarray(A, dtype=np.float64) for A in self.split(x)]
+        T, layers = _forward(As, self.D, self.activation)
+        value, G = loss_value_grad(self.loss_kind, T, self.Y, eps=self.loss_eps)
+        grads = []
+        innermost = len(As) - 1
+        for j, (A, (T_in, Z)) in enumerate(zip(As, layers)):
+            Gz = self.activation.backprop(Z, G)
+            grads.append(Gz @ T_in.T + self.eps * A)
+            if j < innermost:  # the innermost layer's input is D: no one reads its gradient
+                G = A.T @ Gz
+            value += 0.5 * self.eps * float(np.sum(A * A))
         if facts is not None:
-            facts["output"] = output
+            facts["output"] = T
         return value, self.pack(grads)
 
 

@@ -101,12 +101,11 @@ def motion_kernel(shape, angle: float) -> np.ndarray:
     return k / total
 
 
-def piecewise_constant_image(rng: np.random.Generator, H: int, W: int,
-                             n_shapes: int = 6) -> np.ndarray:
-    """Random blocky test image in [0, 1]: overlapping constant rectangles and disks."""
+def piecewise_constant_image(rng: np.random.Generator, H: int, W: int) -> np.ndarray:
+    """Random blocky test image in [0, 1]: six overlapping constant rectangles and disks."""
     u = np.zeros((H, W))
     ii, jj = np.mgrid[0:H, 0:W]
-    for _ in range(n_shapes):
+    for _ in range(6):
         level = rng.uniform(0.2, 1.0)
         if rng.uniform() < 0.5:
             r0, r1 = np.sort(rng.integers(0, H, size=2))
@@ -119,9 +118,9 @@ def piecewise_constant_image(rng: np.random.Generator, H: int, W: int,
     return u
 
 
-def discrepancy_eta(sigma: float, H: int, W: int, factor: float = 1.2) -> float:
-    """Early-stopping threshold eta = factor * sigma^2 / (2 * sqrt(H*W))."""
-    return factor * sigma ** 2 / (2.0 * np.sqrt(H * W))
+def discrepancy_eta(sigma: float, H: int, W: int) -> float:
+    """Early-stopping threshold eta = 1.2 * sigma^2 / (2 * sqrt(H*W))."""
+    return 1.2 * sigma ** 2 / (2.0 * np.sqrt(H * W))
 
 
 def make_synthetic_deconv(seed: int, H: int, W: int, kernel_shape=(3, 5),

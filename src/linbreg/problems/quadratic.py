@@ -40,11 +40,11 @@ class LeastSquares(SmoothObjective):
         return 0.5 * float(d @ d), d.reshape(np.shape(u))
 
 
-def random_psd_quadratic(seed: int, n: int, L: float = 1.0, mu: float = 0.05) -> QuadraticObjective:
-    """Seeded PSD quadratic with spectrum in [mu*L, L] and largest eigenvalue exactly L."""
+def random_psd_quadratic(seed: int, n: int, L: float = 1.0) -> QuadraticObjective:
+    """Seeded PSD quadratic with spectrum in [0.05*L, L] and largest eigenvalue exactly L."""
     rng = np.random.default_rng(seed)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(mu * L, L, size=n)
+    eigs = rng.uniform(0.05 * L, L, size=n)
     eigs[0] = L
     A = (Q * eigs) @ Q.T
     A = 0.5 * (A + A.T)

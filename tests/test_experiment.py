@@ -58,6 +58,7 @@ class TestConfigParsing:
 
     def test_defaults_filled(self):
         cfg = parse_config_text("problem = deconv\n")
+        assert parse_config_text("problem = deconv  # blind\n").values == cfg.values
         assert cfg["tau0"] == 2.0
         assert cfg["alpha"] == 0.05
         assert cfg["max_iter"] == 100

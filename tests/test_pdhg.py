@@ -318,6 +318,18 @@ class TestLoopReference:
     def test_equal_bits_on_thin_and_large_images(self, shape, dual0):
         assert same_bits(*pin_args(shape, 1400 + shape[0], 0.1, 1e-8, 400, dual0, 0.3))
 
+    @pytest.mark.parametrize("lam", [0.0, -0.0], ids=["+0", "-0"])
+    def test_equal_bits_at_lam_zero_with_underflowing_dual0(self, lam):
+        # at lam = 0 the projection keeps a 2-vector whose squares underflow to
+        # mag == 0 and scales every other one by lam, a zero of lam's sign;
+        # the last pixel's gradient is zero, so its tiny dual survives each step
+        rng = np.random.default_rng(1500)
+        z = rng.standard_normal((6, 5))
+        dual0 = 1e-170 * rng.standard_normal((2, 6, 5))
+        assert np.all(dual0 ** 2 == 0.0)
+        dual0[:, ::2] *= 1e150  # rows whose squares do not underflow
+        assert same_bits(z, lam, PdhgConfig(tol=1e-10, maxit=60), dual0)
+
 
 class TestAliasing:
     def test_result_owns_its_arrays(self):

@@ -7,7 +7,6 @@ from linbreg.verify import finite_difference_gradient_check
 from linbreg.problems import (
     ClassifierObjective,
     init_weights,
-    nn_energy_grad,
     nn_forward,
     synthetic_digits,
 )
@@ -37,7 +36,8 @@ class TestForward:
         out = nn_forward([np.zeros((2, 3)), np.zeros((3, 4))], D, act)
         assert np.array_equal(out, np.zeros((2, 6)))
         Y = one_hot(np.zeros(6, dtype=int), classes=2)
-        value, _ = nn_energy_grad([np.zeros((2, 3)), np.zeros((3, 4))], D, Y, act)
+        E = ClassifierObjective(D, Y, [(2, 3), (3, 4)], eps=0.0)
+        value, _ = E.value_and_grad(E.pack([np.zeros((2, 3)), np.zeros((3, 4))]))
         assert value == pytest.approx(0.5 * np.sum(Y ** 2), rel=1e-14)
 
     def test_softmax_columns_sum_to_one(self):
@@ -57,6 +57,11 @@ class TestForward:
         act = make_activation("rectifier")
         with pytest.raises(ValueError):
             nn_forward([np.zeros((2, 3)), np.zeros((4, 4))], np.zeros((4, 5)), act)
+
+    def test_label_columns_must_match_data(self):
+        # rejected when the objective is built, before any evaluation
+        with pytest.raises(ValueError, match="columns"):
+            ClassifierObjective(np.zeros((4, 5)), np.zeros((2, 6)), [(2, 3), (3, 4)])
 
 
 class TestGradients:
@@ -127,7 +132,10 @@ class TestBackwardPass:
         Y = one_hot(rng.integers(0, 3, size=9), classes=3)
         As = init_weights([(3, 5), (5, 4), (4, 6)], seed=12)
         act = make_activation(activation)
-        value, grads = nn_energy_grad(As, D, Y, act, loss, 1.0, 1e-3)
+        E = ClassifierObjective(D, Y, [A.shape for A in As], activation_kind=activation,
+                                loss_kind=loss, loss_eps=1.0, eps=1e-3)
+        value, g = E.value_and_grad(E.pack(As))
+        grads = E.split(g)
         ref_value, ref_grads = nn_energy_grad_loop(As, D, Y, act, loss, 1.0, 1e-3)
         assert value == ref_value
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
