@@ -28,6 +28,7 @@ from .exceptions import ConfigError
 from .pdhg import PdhgConfig
 from .problems.classify import (
     ACTIVATION_KINDS,
+    LOSS_EPS,
     LOSS_KINDS,
     ClassifierObjective,
     init_weights,
@@ -187,7 +188,7 @@ _KEYS = {
     "smooth_c": (_parse_finite, 0.0, ("classifier",), None),
     "loss": (str, "frobenius", ("classifier",), _choice(LOSS_KINDS)),
     # the shifted KL losses take logarithms of X + loss_eps and Y + loss_eps
-    "loss_eps": (_parse_finite, 1.0, ("classifier",),
+    "loss_eps": (_parse_finite, LOSS_EPS, ("classifier",),
                  lambda v, c: _require(v > 0 or c["loss"] == "frobenius",
                                        "positive for the kl losses")),
     "alpha1": (_parse_finite, 0.2, ("classifier",), _nonnegative),

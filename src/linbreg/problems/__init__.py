@@ -26,8 +26,6 @@ from .mnist import (
     load_digit_set,
     read_idx_images,
     read_idx_labels,
-    write_idx_images,
-    write_idx_labels,
 )
 
 __all__ = [
@@ -41,5 +39,4 @@ __all__ = [
     "nn_forward", "synthetic_digits",
     "read_pgm", "write_pgm",
     "load_digit_set", "read_idx_images", "read_idx_labels",
-    "write_idx_images", "write_idx_labels",
 ]

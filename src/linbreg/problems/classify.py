@@ -96,6 +96,9 @@ def make_activation(kind: str, beta: float = 5.0, c: float = 0.0) -> Activation:
 
 LOSS_KINDS = ("frobenius", "kl", "kl-sym")
 
+# ClassifierObjective's and the CLI's loss_eps; KL losses on one-hot labels need it > 0
+LOSS_EPS = 1.0
+
 
 def loss_value_grad(kind: str, X: np.ndarray, Y: np.ndarray, eps: float = 0.0):
     """Misfit D(X, Y) and dD/dX for the supported loss kinds.
@@ -152,7 +155,7 @@ class ClassifierObjective(SmoothObjective):
     lipschitz = None
 
     def __init__(self, D, Y, shapes, activation_kind="rectifier", beta=5.0, smooth_c=0.0,
-                 loss_kind="frobenius", loss_eps=0.0, eps=float(np.finfo(float).eps)):
+                 loss_kind="frobenius", loss_eps=LOSS_EPS, eps=float(np.finfo(float).eps)):
         self.D = D
         self.Y = np.asarray(Y, dtype=np.float64)
         self.loss_kind = loss_kind

@@ -1,4 +1,4 @@
-"""IDX file format reader/writer (big-endian magic 2051/2049 headers, raw bytes).
+"""IDX file format reader (big-endian magic 2051/2049 headers, raw bytes).
 
 The standard container for handwritten-digit image and label sets.
 """
@@ -41,24 +41,6 @@ def read_idx_labels(path) -> np.ndarray:
     if data.size != count:
         raise ValueError("truncated IDX label file")
     return data
-
-
-def write_idx_images(path, images: np.ndarray) -> None:
-    """Write a (count, rows, cols) uint8 array in IDX image format."""
-    images = np.asarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError("expected (count, rows, cols)")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IMAGES_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    """Write a label vector in IDX label format."""
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", LABELS_MAGIC, labels.size))
-        fh.write(labels.tobytes())
 
 
 def load_digit_set(images_path, labels_path, limit: int | None = None):

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import pdhg
 from .exceptions import NotConvergedError, UnsupportedOperation
-from .tensor_ops import dct2, div2d, grad2d_forward, idct2, svd_thin, total_variation
+from .tensor_ops import dct2, div2d, grad2d_forward, idct2, total_variation
 
 # Feasibility band used when evaluating indicator-type values and conjugates;
 # certifies subgradients produced by floating-point prox computations.
@@ -334,15 +334,15 @@ class NuclearNorm(BregmanFunction):
         if lam < 0:
             raise ValueError("threshold must be nonnegative")
         z = np.asarray(z, dtype=np.float64)
-        u, s, v = svd_thin(self._mat(z))
-        return ((u * np.maximum(s - lam, 0.0)) @ v.T).reshape(z.shape)
+        u, s, vt = np.linalg.svd(self._mat(z), full_matrices=False)
+        return ((u * np.maximum(s - lam, 0.0)) @ vt).reshape(z.shape)
 
     def initial_subgradient(self, u):
         u = np.asarray(u, dtype=np.float64)
-        uu, s, v = svd_thin(self._mat(u))
+        uu, s, vt = np.linalg.svd(self._mat(u), full_matrices=False)
         cutoff = 1e-12 * max(float(s[0]) if s.size else 0.0, 1e-300)
         keep = s > cutoff
-        g = self.alpha * (uu[:, keep] @ v[:, keep].T)
+        g = self.alpha * (uu[:, keep] @ vt[keep])
         return g.reshape(u.shape)
 
     def conjugate_value(self, q):

@@ -1,8 +1,8 @@
 """Dense-array primitives used by every problem driver.
 
 Periodic 2-D convolution and its adjoint, the forward-difference image
-gradient and its negative adjoint (divergence), orthonormal DFT/DCT pairs,
-and a thin SVD.  All functions are pure: inputs are never mutated.
+gradient and its negative adjoint (divergence), and orthonormal DFT/DCT
+pairs.  All functions are pure: inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -142,15 +142,3 @@ def idft2(c: np.ndarray) -> np.ndarray:
     """Inverse of ``dft2``."""
     c = np.asarray(c)
     return np.fft.ifft2(c) * np.sqrt(c.shape[0] * c.shape[1])
-
-
-def svd_thin(a: np.ndarray):
-    """Thin SVD: returns (U, s, V) with a = U @ diag(s) @ V.T and s nonincreasing.
-
-    Convergence failures inside LAPACK surface as ``numpy.linalg.LinAlgError``.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    return u, s, vh.T

@@ -51,14 +51,14 @@ from linbreg.problems.classify import one_hot
 from linbreg.regularizers import symmetric_bregman_distance
 from linbreg.solver import check_sufficient_decrease, surrogate_subgradient
 from linbreg.tensor_ops import dct2, idct2, total_variation
-from linbreg.verify import (
-    finite_difference_gradient_check,
+from linbreg.verify import finite_difference_gradient_check
+
+from helpers import (
     project_simplex_bisection,
     prox_oracle_check,
     separable_prox_oracle,
     tv_prox_dual_oracle,
 )
-
 from instances import run_instance
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linbreg.cli import main
-from linbreg.problems.mnist import write_idx_images, write_idx_labels
+from helpers import write_idx_images, write_idx_labels
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):

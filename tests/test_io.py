@@ -6,10 +6,9 @@ from linbreg.problems import (
     read_idx_images,
     read_idx_labels,
     read_pgm,
-    write_idx_images,
-    write_idx_labels,
     write_pgm,
 )
+from helpers import write_idx_images, write_idx_labels
 
 
 class TestPgm:

@@ -6,7 +6,7 @@ import pytest
 from linbreg import NotConvergedError, NumericsError, PdhgConfig, TotalVariation2D
 from linbreg.pdhg import SIGMA, TAU_INNER, PdhgResult, pdhg_tv_prox
 from linbreg.tensor_ops import div2d, grad2d_forward, total_variation
-from linbreg.verify import tv_prox_dual_oracle
+from helpers import tv_prox_dual_oracle
 
 
 def prox_objective(u, z, lam):

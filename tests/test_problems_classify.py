@@ -79,6 +79,14 @@ class TestGradients:
         report = finite_difference_gradient_check(E, x, n_coords=E.size, seed=6)
         assert report.max_rel_err < 1e-4
 
+    @pytest.mark.parametrize("loss", ["kl", "kl-sym"])
+    def test_kl_losses_finite_with_the_default_shift(self, loss):
+        # the one-hot labels have zero entries, which an unshifted KL loss rejects
+        base = small_problem()
+        E = ClassifierObjective(base.D, base.Y, base.shapes, loss_kind=loss)
+        value, grad = E.value_and_grad(E.pack(init_weights(E.shapes, seed=5)))
+        assert np.isfinite(value) and np.all(np.isfinite(grad))
+
     def test_softmax_finite_differences(self):
         E = small_problem(activation="soft-max")
         x = E.pack(init_weights(E.shapes, seed=7))

@@ -22,7 +22,7 @@ from linbreg.regularizers import (
     symmetric_bregman_distance,
 )
 from linbreg.tensor_ops import dct2
-from linbreg.verify import separable_prox_oracle
+from helpers import separable_prox_oracle
 
 
 class TestBregmanDistance:
@@ -380,6 +380,8 @@ class TestInstancesCommon:
             (SimplexIndicator(), 9),
             (NonnegativeIndicator(), 9),
             (NuclearNorm(0.5, (3, 3)), 9),
+            (NuclearNorm(0.5, (3, 6)), 18),
+            (NuclearNorm(0.5, (6, 2)), 12),
         ]
 
     @pytest.mark.parametrize("seed", range(3))

@@ -12,7 +12,6 @@ from linbreg.tensor_ops import (
     idct2,
     idft2,
     kernel_gradient,
-    svd_thin,
     total_variation,
 )
 from helpers import conv2d_oracle, dft2_oracle
@@ -216,23 +215,3 @@ class TestTransforms:
         u = rng.standard_normal((7, 5))
         assert abs(np.linalg.norm(dft2(u)) - np.linalg.norm(u)) < 1e-12
         assert abs(np.linalg.norm(dct2(u)) - np.linalg.norm(u)) < 1e-12
-
-
-class TestSvdThin:
-    def test_diagonal(self):
-        _, s, _ = svd_thin(np.diag([3.0, 1.0]))
-        assert np.allclose(s, [3.0, 1.0])
-
-    def test_zero_matrix(self):
-        _, s, _ = svd_thin(np.zeros((3, 2)))
-        assert np.array_equal(s, np.zeros(2))
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((4, 3))
-        u, s, v = svd_thin(a)
-        norm_a = np.linalg.norm(a)
-        assert np.abs((u * s) @ v.T - a).max() < 1e-10 * norm_a
-        assert np.abs(u.T @ u - np.eye(3)).max() < 1e-10
-        assert np.abs(v.T @ v - np.eye(3)).max() < 1e-10
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)

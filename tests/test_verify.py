@@ -11,12 +11,8 @@ from linbreg import (
 from linbreg.problems import LeastSquares
 from linbreg.solver import SmoothObjective
 from linbreg.tensor_ops import total_variation
-from linbreg.verify import (
-    finite_difference_gradient_check,
-    project_simplex_bisection,
-    prox_oracle_check,
-    tv_prox_dual_oracle,
-)
+from linbreg.verify import finite_difference_gradient_check
+from helpers import project_simplex_bisection, prox_oracle_check, tv_prox_dual_oracle
 
 
 class LinearObjective(SmoothObjective):

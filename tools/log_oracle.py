@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 51 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 57 fixed CLI runs.
 
-Runs seventeen configs under each of the three solvers (``linbreg``,
+Runs nineteen configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -61,6 +61,10 @@ CONFIGS = {
     "classifier-smoothmax-shifted": ("problem = classifier\ntrain_n = 60\nhidden = 8\n"
                                      "max_iter = 20\nactivation = smooth-max\n"
                                      "smooth_c = 0.25\nbeta = 3\n"),
+    # the two choice values no config above sets
+    "classifier-klsym": ("problem = classifier\ntrain_n = 60\nhidden = 8\nmax_iter = 20\n"
+                         "loss = kl-sym\n"),
+    "mri-fullmask": "problem = mri\nn = 16\nmax_iter = 15\nmask = full\n",
 }
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
