@@ -247,6 +247,22 @@ class TestProxNuclear:
         a = rng.standard_normal((4, 3))
         assert np.abs(NuclearNorm(0.0, (4, 3)).prox(a, 1.0) - a).max() < 1e-10
 
+    def test_zero_matrix(self):
+        R = NuclearNorm(0.5, (3, 2))
+        assert np.array_equal(R.prox(np.zeros((3, 2)), 1.0), np.zeros((3, 2)))
+        assert np.array_equal(R.initial_subgradient(np.zeros((3, 2))), np.zeros((3, 2)))
+
+    def test_initial_subgradient_of_a_rank_deficient_wide_matrix(self):
+        # alpha U_r V_r^T over the nonzero singular values only; the wide shape
+        # makes a transposed V fail on shape or value
+        rng = np.random.default_rng(11)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
+        V, _ = np.linalg.qr(rng.standard_normal((5, 2)))
+        u = (U * [2.0, 1.0]) @ V.T
+        g = NuclearNorm(0.5, (3, 5)).initial_subgradient(u)
+        assert g.shape == (3, 5)
+        assert np.abs(g - 0.5 * U @ V.T).max() < 1e-10
+
     def test_local_optimality_sampling(self):
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 3))
