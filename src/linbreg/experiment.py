@@ -12,7 +12,10 @@ directory:
                         a ``.range`` sidecar recording the affine pixel map,
                         or CSV for non-image variables)
 
-Re-running a config with the same seed reproduces ``log.csv`` byte for byte.
+Re-running a config with the same seed reproduces ``log.csv`` byte for byte at
+a fixed BLAS thread count.  Across thread counts the classifier's energies
+(matrix products) and the monitors of large MRI runs (BLAS reductions over
+tens of thousands of entries) can change in their last bits.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .problems.classify import (
 from .problems.deconv import BlindDeconvObjective, discrepancy_eta, make_synthetic_deconv
 from .problems.mnist import load_digit_set
 from .problems.mri import MASK_KINDS, ParallelMriObjective, make_synthetic_mri
-from .problems.pgm import read_pgm, write_pgm
+from .problems.pgm import write_pgm
 from .problems.quadratic import random_psd_quadratic
 from .regularizers import (
     L1,
@@ -432,16 +435,6 @@ def _write_image_snapshot(path: Path, image: np.ndarray) -> None:
     pixels = np.round((image - lo) / span * 65535.0).astype(np.int64)
     write_pgm(path, pixels, maxval=65535)
     Path(str(path) + ".range").write_text(f"min = {lo!r}\nmax = {hi!r}\n")
-
-
-def read_image_snapshot(path) -> np.ndarray:
-    """Invert ``_write_image_snapshot`` using the sidecar affine map."""
-    pixels, maxval = read_pgm(path)
-    lines = Path(str(path) + ".range").read_text().splitlines()
-    lo = float(lines[0].split("=")[1])
-    hi = float(lines[1].split("=")[1])
-    span = hi - lo if hi > lo else 1.0
-    return pixels.astype(np.float64) / maxval * span + lo
 
 
 @dataclass

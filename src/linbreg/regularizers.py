@@ -148,7 +148,7 @@ class L1(BregmanFunction):
         self.alpha = float(alpha)
 
     def value(self, u, facts=None):
-        return self.alpha * float(np.sum(np.abs(u)))
+        return self.alpha * float(np.abs(u).sum())
 
     def prox(self, z, tau, warm=None):
         """Soft thresholding: sign(z) * max(|z| - tau * alpha, 0)."""
@@ -163,7 +163,7 @@ class L1(BregmanFunction):
 
     def conjugate_value(self, q):
         bound = self.alpha + FEAS_TOL * (1.0 + self.alpha)
-        return 0.0 if np.max(np.abs(q), initial=0.0) <= bound else INF
+        return 0.0 if np.abs(q).max(initial=0.0) <= bound else INF
 
 
 class WeightedL1Dct(BregmanFunction):

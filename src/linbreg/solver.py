@@ -24,6 +24,7 @@ there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,9 +136,11 @@ class RunResult:
 
 
 def _checked_grad(st: SolverState) -> np.ndarray:
-    if not np.all(np.isfinite(st.grad)):
+    g = st.grad
+    # <g, g> is finite unless an entry of g is not or the sum overflows
+    if not math.isfinite(np.vdot(g, g).real) and not np.isfinite(g).all():
         raise NumericsError(f"non-finite gradient at iteration {st.k}")
-    return st.grad
+    return g
 
 
 def _evaluated(E: SmoothObjective, u, q, tau: float, k: int, warm: dict) -> SolverState:
@@ -192,11 +195,12 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
         raise ValueError("backtrack needs a numeric eps_decrease; iterate resolves "
                          "eps_decrease=None from the start energy")
     tau = st.tau
+    start = st
     while True:
-        trial = linbreg_step(E, R, replace(st, tau=tau))
+        trial = linbreg_step(E, R, start)
         if trial.energy <= st.energy + policy.eps_decrease:
             return trial
-        if np.isnan(trial.energy):
+        if math.isnan(trial.energy):
             raise NumericsError(f"NaN energy at iteration {st.k} with tau = {tau:g}")
         tau *= SHRINK
         if tau < 1e-16 * policy.tau0:
@@ -204,6 +208,7 @@ def backtrack(E: SmoothObjective, R: BregmanFunction, st: SolverState,
                 f"backtracking stagnated at iteration {st.k}: tau underflow below "
                 f"{1e-16 * policy.tau0:g}"
             )
+        start = replace(st, tau=tau)
 
 
 def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None,
@@ -218,7 +223,8 @@ def surrogate_value(energy: float, R: BregmanFunction, x, y, base=None,
     if R.has_conjugate:
         rx = R.value(x, facts)
         rstar = R.conjugate_value(y)
-        return ex + float(rx) + float(rstar) - float(np.vdot(np.ravel(x), np.ravel(y)).real)
+        # vdot flattens both arguments in C order, as np.ravel does
+        return ex + float(rx) + float(rstar) - float(np.vdot(x, y).real)
     if base is None:
         raise UnsupportedOperation(
             "no conjugate available and no base point given for the Bregman form")
@@ -229,9 +235,8 @@ def surrogate_subgradient(st: SolverState, prev: SolverState | None) -> np.ndarr
     """The canonical subgradient of F at s^k: (grad E(u^k) + q^k - q^{k-1}, u^{k-1} - u^k)."""
     if prev is None or prev.q is None or st.q is None:
         raise ValueError("surrogate subgradient needs two consecutive states with a dual variable")
-    top = np.ravel(_checked_grad(st)) + np.ravel(st.q) - np.ravel(prev.q)
-    bottom = np.ravel(prev.u) - np.ravel(st.u)
-    return np.concatenate([top, bottom])
+    top = _checked_grad(st).ravel() + st.q.ravel() - prev.q.ravel()
+    return np.concatenate([top, prev.u.ravel() - st.u.ravel()])
 
 
 @dataclass
@@ -270,20 +275,23 @@ def _monitor(st_new: SolverState, st_old: SolverState, L, tau_min,
              extras_fn=None) -> MonitorRecord:
     """Fill a MonitorRecord for an accepted step st_old -> st_new whose surrogate is set;
     linbreg only fields degrade to NaN for the baselines, which carry no dual variable."""
-    gap = float(np.linalg.norm(np.ravel(st_new.u) - np.ravel(st_old.u)))
-
+    # each norm is np.linalg.norm's own sqrt(x . x); r's second half is
+    # u^{k-1} - u^k, the negated u^k - u^{k-1}, with the same squares
     if st_new.q is not None:
-        breg_sym = symmetric_bregman_distance(st_new.u, st_old.u, st_new.q, st_old.q)
         r = surrogate_subgradient(st_new, st_old)
-        r_norm = float(np.linalg.norm(r))
+        du = r[st_new.u.size:]
+        breg_sym = symmetric_bregman_distance(st_new.u, st_old.u, st_new.q, st_old.q)
+        r_norm = math.sqrt(r.dot(r))
     else:
+        du = st_new.u.ravel() - st_old.u.ravel()
         breg_sym = NAN
         r_norm = NAN
+    gap = math.sqrt(du.dot(du))
 
     if L is not None and st_new.q is not None:
         rho1 = max(0.0, 1.0 / st_new.tau - L / 2.0)
         decrease_ok = (
-            not np.isfinite(st_old.surrogate)
+            not math.isfinite(st_old.surrogate)
             or st_new.surrogate + rho1 * gap ** 2
             <= st_old.surrogate + 1e-10 * (1.0 + abs(st_old.surrogate))
         )

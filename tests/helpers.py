@@ -5,14 +5,23 @@ DFT are direct double-loop sums (independent of the FFT paths), proximal maps
 are checked against derivative-free or first-order minimisation of the prox
 objective, the simplex projection against a threshold bisection, and the TV
 prox against an accelerated projected-gradient solve of the dual problem.  The
-IDX writers make reader fixtures.
+IDX writers make reader fixtures, and ``read_image_snapshot`` reads back the
+image snapshots of a run.  The outer loop of the solver, as it was
+before its bookkeeping was trimmed, is kept as a bit reference
+(``iterate_reference``).
 """
 
 import struct
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
+from linbreg.exceptions import NumericsError, StagnationError, UnsupportedOperation
 from linbreg.problems.mnist import IMAGES_MAGIC, LABELS_MAGIC
+from linbreg.problems.pgm import read_pgm
+from linbreg.regularizers import bregman_distance, symmetric_bregman_distance
+from linbreg.solver import NAN, SHRINK, MonitorRecord, SolverState
 from linbreg.tensor_ops import div2d, grad2d_forward
 
 
@@ -50,14 +59,26 @@ def dft2_oracle(u):
 def project_simplex_bisection(z: np.ndarray, iters: int = 100) -> np.ndarray:
     """Simplex projection by bisection on the shift theta with sum(max(z+theta,0)) = 1.
 
-    Independent of the sort-and-threshold production routine.
+    Independent of the sort-and-threshold production routine.  The bisection
+    runs on plain floats: the test vectors have a few entries, where one numpy
+    call costs more than the whole sum.
     """
     z = np.asarray(z, dtype=np.float64).ravel()
-    lo = (1.0 - np.sum(np.maximum(z, 0.0))) / z.size + np.min(z) - 1.0
-    hi = 1.0 / z.size - np.min(z) + 1.0
+    zs = z.tolist()
+
+    def mass(theta):
+        """sum(max(z + theta, 0))"""
+        total = 0.0
+        for x in zs:
+            if x + theta > 0.0:
+                total += x + theta
+        return total
+
+    lo = (1.0 - mass(0.0)) / len(zs) + min(zs) - 1.0
+    hi = 1.0 / len(zs) - min(zs) + 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if np.sum(np.maximum(z + mid, 0.0)) > 1.0:
+        if mass(mid) > 1.0:
             hi = mid
         else:
             lo = mid
@@ -220,3 +241,132 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack(">ii", LABELS_MAGIC, labels.size))
         fh.write(labels.tobytes())
+
+
+def read_image_snapshot(path) -> np.ndarray:
+    """Invert a run's 16-bit PGM image snapshot using its sidecar affine map."""
+    pixels, maxval = read_pgm(path)
+    lines = Path(str(path) + ".range").read_text().splitlines()
+    lo = float(lines[0].split("=")[1])
+    hi = float(lines[1].split("=")[1])
+    span = hi - lo if hi > lo else 1.0
+    return pixels.astype(np.float64) / maxval * span + lo
+
+
+# ---------------------------------------------------------------------------
+# the solver's outer loop before its bookkeeping was trimmed, kept as a bit
+# reference: the same steps, surrogate and monitor record, with the same
+# numpy and BLAS operations on the same operands
+# ---------------------------------------------------------------------------
+
+def _checked_grad_reference(st):
+    if not np.all(np.isfinite(st.grad)):
+        raise NumericsError(f"non-finite gradient at iteration {st.k}")
+    return st.grad
+
+
+def _evaluated_reference(E, u, q, tau, k, warm):
+    facts = {}
+    energy, grad = E.value_and_grad(u, facts)
+    st = SolverState(u=u, q=q, tau=tau, energy=float(energy),
+                     grad=np.asarray(grad, dtype=np.float64), k=k, warm=warm)
+    st.facts = facts
+    return st
+
+
+def linbreg_step_reference(E, R, st):
+    g = _checked_grad_reference(st)
+    if st.q is None:
+        u_new = np.asarray(R.prox(st.u - st.tau * g, st.tau, st.warm), dtype=np.float64)
+        q_new = None
+    else:
+        z = st.u + st.tau * (st.q - g)
+        u_new = np.asarray(R.prox(z, st.tau, st.warm), dtype=np.float64)
+        q_new = (z - u_new) / st.tau
+        if R.memory_mask is not None:
+            q_new *= R.memory_mask
+    return _evaluated_reference(E, u_new, q_new, st.tau, st.k + 1, st.warm)
+
+
+def backtrack_reference(E, R, st, policy):
+    tau = st.tau
+    while True:
+        trial = linbreg_step_reference(E, R, replace(st, tau=tau))
+        if trial.energy <= st.energy + policy.eps_decrease:
+            return trial
+        if np.isnan(trial.energy):
+            raise NumericsError(f"NaN energy at iteration {st.k} with tau = {tau:g}")
+        tau *= SHRINK
+        if tau < 1e-16 * policy.tau0:
+            raise StagnationError(
+                f"backtracking stagnated at iteration {st.k}: tau underflow below "
+                f"{1e-16 * policy.tau0:g}"
+            )
+
+
+def surrogate_value_reference(energy, R, x, y, base=None, facts=None):
+    ex = float(energy)
+    if R.has_conjugate:
+        rx = R.value(x, facts)
+        rstar = R.conjugate_value(y)
+        return ex + float(rx) + float(rstar) - float(np.vdot(np.ravel(x), np.ravel(y)).real)
+    if base is None:
+        raise UnsupportedOperation(
+            "no conjugate available and no base point given for the Bregman form")
+    return ex + bregman_distance(R, x, base, y)
+
+
+def surrogate_subgradient_reference(st, prev):
+    top = np.ravel(_checked_grad_reference(st)) + np.ravel(st.q) - np.ravel(prev.q)
+    bottom = np.ravel(prev.u) - np.ravel(st.u)
+    return np.concatenate([top, bottom])
+
+
+def monitor_reference(st_new, st_old, L, tau_min, extras_fn=None):
+    gap = float(np.linalg.norm(np.ravel(st_new.u) - np.ravel(st_old.u)))
+
+    if st_new.q is not None:
+        breg_sym = symmetric_bregman_distance(st_new.u, st_old.u, st_new.q, st_old.q)
+        r = surrogate_subgradient_reference(st_new, st_old)
+        r_norm = float(np.linalg.norm(r))
+    else:
+        breg_sym = NAN
+        r_norm = NAN
+
+    if L is not None and st_new.q is not None:
+        rho1 = max(0.0, 1.0 / st_new.tau - L / 2.0)
+        decrease_ok = (
+            not np.isfinite(st_old.surrogate)
+            or st_new.surrogate + rho1 * gap ** 2
+            <= st_old.surrogate + 1e-10 * (1.0 + abs(st_old.surrogate))
+        )
+        rho2 = 1.0 + L + 1.0 / tau_min
+        rho2_bound = rho2 * gap
+        bound_ok = r_norm <= rho2_bound * (1.0 + 1e-9) + 1e-12
+    else:
+        decrease_ok = True
+        bound_ok = True
+        rho2_bound = NAN
+
+    extras = extras_fn(st_new) if extras_fn is not None else {}
+    return MonitorRecord(
+        k=st_new.k, tau=st_new.tau, energy=st_new.energy, surrogate=st_new.surrogate,
+        iterate_gap=gap, breg_sym=breg_sym, r_norm=r_norm, rho2_bound=rho2_bound,
+        decrease_ok=bool(decrease_ok), bound_ok=bool(bound_ok), extras=extras,
+    )
+
+
+def iterate_reference(E, R, st, policy, extras_fn=None):
+    """Yield (state, record) for every accepted step from ``st``, as ``solver.iterate``."""
+    if policy.eps_decrease is None:
+        policy = replace(policy, eps_decrease=1e-12 * max(1.0, abs(st.energy)))
+    L = E.lipschitz
+    tau_min = st.tau
+    while True:
+        st_new = backtrack_reference(E, R, st, policy)
+        if st_new.q is not None:
+            st_new.surrogate = surrogate_value_reference(st_new.energy, R, st_new.u, st.q,
+                                                         base=st.u, facts=st_new.facts)
+        tau_min = min(tau_min, st_new.tau)
+        yield st_new, monitor_reference(st_new, st, L, tau_min, extras_fn)
+        st = st_new

@@ -7,12 +7,13 @@ from linbreg.experiment import (
     parse_config_text,
     prediction_rate,
     rank_of,
-    read_image_snapshot,
     run_experiment,
 )
 from linbreg.problems import init_weights, nn_forward, synthetic_digits
 from linbreg.problems.classify import make_activation, one_hot
 from linbreg.regularizers import project_simplex
+
+from helpers import read_image_snapshot
 
 
 QUAD_CFG = """

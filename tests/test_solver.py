@@ -16,6 +16,7 @@ from linbreg import (
     SquaredL2,
     StagnationError,
     StoppingRule,
+    TotalVariation2D,
     WeightedL1Dct,
     Zero,
     initial_state,
@@ -40,6 +41,7 @@ from linbreg.solver import (
     surrogate_value,
 )
 
+from helpers import iterate_reference
 from instances import make_instance, run_instance
 
 
@@ -674,3 +676,70 @@ class TestCertificateProperties:
         result = run(E, R, initial_state(E, R, u0, tau0),
                      BacktrackingPolicy(tau0=tau0, eps_decrease=np.inf), StoppingRule(max_iter=60))
         assert all(rec.decrease_ok for rec in result.records)
+
+
+def _loop_bytes(steps, n):
+    """Every record field's repr and the state bytes of the first n accepted steps."""
+    out = []
+    for _ in range(n):
+        st, rec = next(steps)
+        out.append((tuple(repr(getattr(rec, f.name)) for f in fields(rec)),
+                    st.u.shape, st.u.tobytes(), None if st.q is None else st.q.tobytes(),
+                    st.grad.tobytes()))
+    return out
+
+
+def _same_loop(E, R, u0, tau0, eps_decrease, n=40, memory=True, extras_fn=None):
+    """Run ``iterate`` and the reference loop side by side from equal start states."""
+    starts = []
+    for _ in range(2):
+        st0 = initial_state(E, R, u0, tau0)
+        starts.append(st0 if memory else replace(st0, q=None))
+    policy = BacktrackingPolicy(tau0=tau0, eps_decrease=eps_decrease)
+    new = _loop_bytes(linbreg.solver.iterate(E, R, starts[0], policy, extras_fn), n)
+    ref = _loop_bytes(iterate_reference(E, R, starts[1], policy, extras_fn), n)
+    assert new == ref
+    return new
+
+
+class TestLoopMatchesReference:
+    """``iterate`` writes the same record and state bytes as the loop kept in
+    ``helpers``, which its bookkeeping was trimmed from."""
+
+    @pytest.mark.parametrize("kind", CERTIFIED_KINDS)
+    @pytest.mark.parametrize("step", ["rejecting", "fixed"])
+    def test_certified_regularizers(self, kind, step):
+        E = random_psd_quadratic(3, 12, L=4.0)
+        R, u0 = _certified_instance(kind, 3)
+        if step == "rejecting":
+            # tau0 = 3/L exceeds 2/L, so backtracking rejects trials; on this
+            # instance every squared-l2 trial passes the energy check
+            loop = _same_loop(E, R, u0, 0.75, None)
+            assert (float(loop[-1][0][1]) < 0.75) == (kind != "squared-l2")
+        else:
+            _same_loop(E, R, u0, 0.25, np.inf)
+
+    @pytest.mark.parametrize("kind", ["l1", "simplex", "separable-sum"])
+    def test_baseline_without_dual(self, kind):
+        E = random_psd_quadratic(4, 12, L=1.0)
+        R, u0 = _certified_instance(kind, 4)
+        loop = _same_loop(E, R, u0, 3.0, None, memory=False)
+        assert loop[0][3] is None
+
+    def test_block_without_memory(self):
+        E = random_psd_quadratic(5, 12, L=1.0)
+        R = SeparableSum([(L1(0.3), 6), (SimplexIndicator(), 6, False)])
+        u0 = np.concatenate([np.linspace(-1.0, 1.0, 6), np.full(6, 1.0 / 6.0)])
+        loop = _same_loop(E, R, u0, 3.0, None)
+        assert not np.frombuffer(loop[-1][3])[6:].any()
+
+    def test_two_dimensional_iterate_with_extras(self):
+        # TV has no conjugate, so the surrogate takes the Bregman form
+        rng = np.random.default_rng(6)
+        f = rng.standard_normal((6, 5))
+        E = LeastSquares(f)
+        R = TotalVariation2D(0.2, (6, 5))
+        loop = _same_loop(E, R, np.zeros((6, 5)), 0.9, None, n=12,
+                          extras_fn=lambda st: {"mean": float(st.u.mean())})
+        assert loop[0][1] == (6, 5)
+        _same_loop(E, NuclearNorm(0.3, (6, 5)), f, 0.9, np.inf, n=12)

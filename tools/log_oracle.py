@@ -5,8 +5,10 @@ Runs nineteen configs under each of the three solvers (``linbreg``,
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
 on these runs exactly when their outputs are identical.  Given two source
-directories, it runs both, names each file whose bytes differ, prints
-``k of N files changed`` and exits 1 when k > 0:
+directories, it runs both, names each file whose bytes differ, and under each
+changed ``log.csv`` each column that moved, with its count of changed rows and
+its largest relative change.  It then prints ``k of N files changed`` and exits
+1 when k > 0:
 
     python tools/log_oracle.py src > hashes.txt
     python tools/log_oracle.py /path/to/other/checkout/src src
@@ -18,7 +20,10 @@ subprocess.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -69,8 +74,8 @@ CONFIGS = {
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
 
-def run_all(src: Path) -> dict[str, str]:
-    """Run every config under every solver; map each output path to its SHA-256."""
+def run_all(src: Path) -> dict[str, bytes]:
+    """Run every config under every solver; map each output path to its bytes."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -82,9 +87,47 @@ def run_all(src: Path) -> dict[str, str]:
                 subprocess.run([sys.executable, "-m", "linbreg", "run", str(cfg),
                                 "--out", str(work / tag)],
                                env=env, check=True, stdout=subprocess.DEVNULL)
-        return {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        return {path.relative_to(work).as_posix(): path.read_bytes()
                 for path in sorted(p for p in work.rglob("*") if p.is_file())
                 if path.suffix != ".cfg" and path.name != "summary.txt"}
+
+
+def _relative_change(a: str, b: str) -> float:
+    """|b - a| / max(|a|, |b|) of two differing cells; inf unless both are finite numbers."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    scale = max(abs(x), abs(y))
+    # equal numbers written differently, such as 0.0 and -0.0, change by 0
+    return abs(y - x) / scale if scale else 0.0
+
+
+def diff_csv(old: str, new: str) -> list[tuple[str, int, float]]:
+    """(column, changed rows, largest relative change) for each column whose cells differ.
+
+    Columns are matched by header name, rows by position; a cell missing on
+    one side counts as changed, with an infinite relative change.
+    """
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    old_head, new_head = old_rows[0], new_rows[0]
+    columns = old_head + [c for c in new_head if c not in old_head]
+    report = []
+    for col in columns:
+        i = old_head.index(col) if col in old_head else None
+        j = new_head.index(col) if col in new_head else None
+        changed, worst = 0, 0.0
+        for r in range(1, max(len(old_rows), len(new_rows))):
+            a = old_rows[r][i] if i is not None and r < len(old_rows) else None
+            b = new_rows[r][j] if j is not None and r < len(new_rows) else None
+            if a != b:
+                changed += 1
+                worst = max(worst, math.inf if a is None or b is None else _relative_change(a, b))
+        if changed:
+            report.append((col, changed, worst))
+    return report
 
 
 def main(argv=None) -> int:
@@ -97,15 +140,19 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "linbreg" / "__init__.py").is_file():
             parser.error(f"{tree} has no linbreg package")
-    hashes = [run_all(tree) for tree in trees]
-    if len(hashes) == 1:
-        print("\n".join(f"{digest}  {path}" for path, digest in hashes[0].items()))
+    outputs = [run_all(tree) for tree in trees]
+    if len(outputs) == 1:
+        print("\n".join(f"{hashlib.sha256(data).hexdigest()}  {path}"
+                        for path, data in outputs[0].items()))
         return 0
-    old, new = hashes
+    old, new = outputs
     paths = sorted(old.keys() | new.keys())
     changed = [p for p in paths if old.get(p) != new.get(p)]
     for path in changed:
         print(f"changed: {path}")
+        if path.endswith("log.csv") and path in old and path in new:
+            for col, rows, worst in diff_csv(old[path].decode(), new[path].decode()):
+                print(f"  column {col}: {rows} rows changed, largest relative change {worst:.3g}")
     print(f"{len(changed)} of {len(paths)} files changed")
     return 1 if changed else 0
 
