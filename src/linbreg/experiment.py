@@ -329,12 +329,13 @@ def _build_deconv(cfg: ExperimentConfig) -> _Built:
                                  kernel_shape=(cfg["kernel_h"], cfg["kernel_w"]),
                                  sigma=cfg["sigma"])
     E = BlindDeconvObjective(prob.f, prob.kernel_shape)
+    n_image, n_kernel = E.sizes
     R = SeparableSum([
-        (_image_part(cfg, (H, W)), E.n_image),
-        (SimplexIndicator(), E.n_kernel, cfg["kernel_memory"]),
+        (_image_part(cfg, (H, W)), n_image),
+        (SimplexIndicator(), n_kernel, cfg["kernel_memory"]),
     ])
-    constraint = SeparableSum([(Zero(), E.n_image), (SimplexIndicator(), E.n_kernel)])
-    u0 = E.pack(np.zeros((H, W)), np.full(prob.kernel_shape, 1.0 / E.n_kernel))
+    constraint = SeparableSum([(Zero(), n_image), (SimplexIndicator(), n_kernel)])
+    u0 = E.pack([np.zeros((H, W)), np.full(prob.kernel_shape, 1.0 / n_kernel)])
     return _Built(E, R, constraint, u0, *_image_hooks(lambda st: E.split(st.u)[0]))
 
 
@@ -346,11 +347,12 @@ def _build_mri(cfg: ExperimentConfig) -> _Built:
     E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
     w = np.full((N, N), cfg["w_high"])
     w[:2, :2] = cfg["w_low"]
+    tv = _image_part(cfg, (N, N))
+    dct = WeightedL1Dct(cfg["alpha_b"], w, (N, N))
     # real and imaginary parts of u, then of each coil map
-    R = SeparableSum([(_image_part(cfg, (N, N)), N * N)] * 2
-                     + [(WeightedL1Dct(cfg["alpha_b"], w, (N, N)), N * N)] * (2 * cfg["coils"]))
-    u0 = E.pack(np.full((N, N), 2.0 + 0.0j),
-                [np.ones((N, N), dtype=np.complex128) for _ in range(cfg["coils"])])
+    R = SeparableSum(list(zip([tv] * 2 + [dct] * (2 * cfg["coils"]), E.sizes)))
+    u0 = E.pack([np.full((N, N), 2.0 + 0.0j)]
+                + [np.ones((N, N), dtype=np.complex128) for _ in range(cfg["coils"])])
     return _Built(E, R, Zero(), u0, *_image_hooks(lambda st: np.abs(E.split(st.u)[0])))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import NumericsError
-from ..solver import SmoothObjective
+from ..solver import StackedObjective
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +148,9 @@ def nn_forward(As, D: np.ndarray, activation: Activation) -> np.ndarray:
     return _forward(As, D, activation)[0]
 
 
-class ClassifierObjective(SmoothObjective):
+class ClassifierObjective(StackedObjective):
     """Stacked flattened-weights view of the classification energy on the
     training matrix ``D`` with one-hot labels ``Y``."""
-
-    lipschitz = None
 
     def __init__(self, D, Y, shapes, activation_kind="rectifier", beta=5.0, smooth_c=0.0,
                  loss_kind="frobenius", loss_eps=LOSS_EPS, eps=float(np.finfo(float).eps)):
@@ -162,7 +160,7 @@ class ClassifierObjective(SmoothObjective):
         self.loss_eps = loss_eps
         self.eps = eps
         self.activation = make_activation(activation_kind, beta, smooth_c)
-        self.shapes = [tuple(s) for s in shapes]
+        super().__init__(shapes)
         for (m, n), nxt in zip(self.shapes, self.shapes[1:]):
             if n != nxt[0]:
                 raise ValueError(f"layer shapes {self.shapes} do not chain")
@@ -172,22 +170,6 @@ class ClassifierObjective(SmoothObjective):
             raise ValueError("outermost layer does not match the label height")
         if Y.shape[1:] != D.shape[1:]:
             raise ValueError(f"labels {Y.shape} and data {D.shape} differ in their columns")
-        self.sizes = [m * n for m, n in self.shapes]
-        self.size = sum(self.sizes)
-
-    def split(self, x):
-        x = np.ravel(x)
-        if x.size != self.size:
-            raise ValueError(f"expected {self.size} entries, got {x.size}")
-        out = []
-        at = 0
-        for (m, n), sz in zip(self.shapes, self.sizes):
-            out.append(x[at:at + sz].reshape(m, n))
-            at += sz
-        return out
-
-    def pack(self, As):
-        return np.concatenate([np.ravel(A) for A in As])
 
     def value_and_grad(self, x, facts=None):
         """E and grad E at x by reverse-mode differentiation; given ``facts``,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..solver import SmoothObjective
+from ..solver import StackedObjective
 from ..tensor_ops import (
     as_tensor,
     conv2d_periodic,
@@ -31,41 +31,23 @@ class BlindDeconvProblem:
     sigma: float = 0.0
 
 
-class BlindDeconvObjective(SmoothObjective):
-    """Stacked-variable view of the blind-deconvolution energy.
+class BlindDeconvObjective(StackedObjective):
+    """The blind-deconvolution energy of the stacked (image, kernel).
 
     The gradient is only locally Lipschitz (the energy is bilinear in (u, h)),
     so ``lipschitz`` stays None and monitors log without asserting.
     """
 
-    lipschitz = None
-
     def __init__(self, f, kernel_shape):
         self.f = as_tensor(f)
-        self.image_shape = self.f.shape
-        self.kernel_shape = tuple(kernel_shape)
-        self.n_image = int(np.prod(self.image_shape))
-        self.n_kernel = int(np.prod(self.kernel_shape))
-        self.size = self.n_image + self.n_kernel
-
-    def split(self, x):
-        """Stacked vector -> (image, kernel)."""
-        x = np.ravel(x)
-        if x.size != self.size:
-            raise ValueError(f"expected {self.size} entries, got {x.size}")
-        u = x[: self.n_image].reshape(self.image_shape)
-        h = x[self.n_image:].reshape(self.kernel_shape)
-        return u, h
-
-    def pack(self, u, h):
-        return np.concatenate([np.ravel(u), np.ravel(h)])
+        super().__init__([self.f.shape, kernel_shape])
 
     def value_and_grad(self, x, facts=None):
         u, h = self.split(x)
         r = conv2d_periodic(u, h) - self.f
         gu = conv2d_periodic_adjoint(r, h)
-        gh = kernel_gradient(u, r, self.kernel_shape)
-        return 0.5 * float(np.sum(r * r)), self.pack(gu, gh)
+        gh = kernel_gradient(u, r, h.shape)
+        return 0.5 * float(np.sum(r * r)), self.pack([gu, gh])
 
 
 _KERNEL_CHUNK = 1 << 18  # kernel cells evaluated at once by motion_kernel

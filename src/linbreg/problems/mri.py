@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..solver import SmoothObjective
+from ..solver import StackedObjective
 from ..tensor_ops import dft2, idft2
 
 
@@ -76,43 +76,33 @@ class ParallelMriProblem:
     b_true: list = field(default_factory=list)
 
 
-class ParallelMriObjective(SmoothObjective):
-    """Real-pair stacked view of the parallel MRI energy."""
+class ParallelMriObjective(StackedObjective):
+    """Real-pair stacked view of the parallel MRI energy of (u, b_1, ..., b_s).
 
-    lipschitz = None
+    Each complex array takes two consecutive real blocks, its real part then
+    its imaginary part; ``split`` and ``pack`` take and give the complex list.
+    """
 
     def __init__(self, data, mask, eps: float):
         self.mask = np.asarray(mask, dtype=np.float64)
         self.data = [np.asarray(f, dtype=np.complex128) for f in data]
         if any(f.shape != self.mask.shape for f in self.data):
             raise ValueError(f"every coil's data must have the mask shape {self.mask.shape}")
-        self.coils = len(self.data)
-        self.image_shape = self.mask.shape
         self.eps = float(eps)
-        self.n = int(np.prod(self.image_shape))
-        self.size = 2 * self.n * (1 + self.coils)
+        super().__init__([self.mask.shape] * (2 * (1 + len(self.data))))
 
     def split(self, x):
-        """Stacked real vector -> (u, [b_j]) as complex images."""
-        x = np.ravel(x)
-        if x.size != self.size:
-            raise ValueError(f"expected {self.size} entries, got {x.size}")
-        blocks = x.reshape(1 + self.coils, 2, *self.image_shape)
-        u = blocks[0, 0] + 1j * blocks[0, 1]
-        bs = [blocks[1 + j, 0] + 1j * blocks[1 + j, 1] for j in range(self.coils)]
-        return u, bs
+        """Stacked real vector -> [u, b_1, ..., b_s] as complex images."""
+        parts = super().split(x)
+        return [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
 
-    def pack(self, u, bs):
-        parts = [np.real(u).ravel(), np.imag(u).ravel()]
-        for b in bs:
-            parts.append(np.real(b).ravel())
-            parts.append(np.imag(b).ravel())
-        return np.concatenate(parts)
+    def pack(self, arrays):
+        return super().pack([p for a in arrays for p in (np.real(a), np.imag(a))])
 
     def value_and_grad(self, x, facts=None):
         """E and its real-pair gradient: the complex gradient g of each variable
         is packed as (dE/dRe, dE/dIm) = (Re g, Im g)."""
-        u, bs = self.split(x)
+        u, *bs = self.split(x)
         mask, eps = self.mask, self.eps
         value = 0.0
         grad_u = eps * u
@@ -125,7 +115,7 @@ class ParallelMriObjective(SmoothObjective):
             grad_bs.append(np.conj(u) * back + eps * b)
         value += 0.5 * eps * (float(np.sum(np.abs(u) ** 2))
                               + sum(float(np.sum(np.abs(b) ** 2)) for b in bs))
-        return value, self.pack(grad_u, grad_bs)
+        return value, self.pack([grad_u, *grad_bs])
 
 
 def make_synthetic_mri(seed: int, N: int, coils: int = 2, mask_kind: str = "spiral",

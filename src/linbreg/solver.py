@@ -16,9 +16,11 @@ satisfies for admissible stepsizes.
 Each point is evaluated once: every state is built at an evaluated point, so
 the start costs one ``value_and_grad`` call and so does each backtracking
 trial, and the next step and the monitors reuse what the accepted trial
-computed.  What an evaluation computes besides E and grad E (the classifier's network output,
-the singular values of R's matrix blocks) belongs to the state of its point,
-in ``SolverState.facts``, and every later reader of that point takes it from
+computed.  The start's surrogate is F(s0) = E(u0), which Fenchel-Young gives
+for q0 in dR(u0), so nothing but E is evaluated at u0.  What an evaluation
+computes besides E and grad E (the classifier's network output, the singular
+values of R's matrix blocks) belongs to the state of its point, in
+``SolverState.facts``, and every later reader of that point takes it from
 there.
 """
 
@@ -50,6 +52,33 @@ class SmoothObjective:
 
     def value_and_grad(self, u, facts=None) -> tuple[float, np.ndarray]:
         raise NotImplementedError
+
+
+class StackedObjective(SmoothObjective):
+    """An energy of several arrays, which the solver sees as one stacked vector.
+
+    Block j holds the array of shape ``shapes[j]``, raveled in C order; the
+    blocks follow each other in list order, so block j has ``sizes[j]``
+    entries and the vector ``size`` in all.  ``split`` returns views of the
+    blocks and ``pack`` takes a list of arrays.
+    """
+
+    def __init__(self, shapes):
+        self.shapes = [tuple(s) for s in shapes]
+        self.sizes = [math.prod(s) for s in self.shapes]
+        self.size = sum(self.sizes)
+        ends = np.cumsum(self.sizes).tolist()
+        self._blocks = list(zip([0] + ends, ends, self.shapes))
+
+    def split(self, x) -> list:
+        """Stacked vector -> the list of its blocks, as views of x."""
+        x = np.ravel(x)
+        if x.size != self.size:
+            raise ValueError(f"expected {self.size} entries, got {x.size}")
+        return [x[a:b].reshape(shape) for a, b, shape in self._blocks]
+
+    def pack(self, arrays) -> np.ndarray:
+        return np.concatenate([np.ravel(a) for a in arrays])
 
 
 @dataclass
@@ -154,11 +183,14 @@ def _evaluated(E: SmoothObjective, u, q, tau: float, k: int, warm: dict) -> Solv
 
 
 def initial_state(E: SmoothObjective, R: BregmanFunction, u0, tau0: float) -> SolverState:
-    """Build the k=0 state with q0 = R.initial_subgradient(u0) and F(s0) = E(u0)."""
+    """Build the k=0 state with q0 = R.initial_subgradient(u0) and F(s0) = E(u0).
+
+    Fenchel-Young makes R(u0) + R*(q0) - <u0, q0> vanish, so R is not evaluated.
+    """
     u0 = np.asarray(u0, dtype=np.float64)
     q0 = np.asarray(R.initial_subgradient(u0), dtype=np.float64)
     st = _evaluated(E, u0, q0, float(tau0), 0, {})
-    st.surrogate = surrogate_value(st.energy, R, u0, q0, base=u0, facts=st.facts)
+    st.surrogate = st.energy
     return st
 
 

@@ -272,7 +272,7 @@ def test_criterion_06_prox_oracle_tv():
 def _deconv_setup(sigma=0.0, seed=0, N=32):
     prob = make_synthetic_deconv(seed, N, N, (3, 5), sigma=sigma)
     E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-    u0 = E.pack(np.zeros((N, N)), np.full((3, 5), 1.0 / 15.0))
+    u0 = E.pack([np.zeros((N, N)), np.full((3, 5), 1.0 / 15.0)])
     return prob, E, u0
 
 
@@ -288,8 +288,7 @@ def test_criterion_07_blind_deconvolution_beats_projected_gradient():
     budget = 3500
     prob, E, u0 = _deconv_setup(sigma=0.0, seed=0)
 
-    constraint = SeparableSum([(Zero(), E.n_image),
-                               (SimplexIndicator(), E.n_kernel)])
+    constraint = SeparableSum(list(zip([Zero(), SimplexIndicator()], E.sizes)))
     st0 = replace(initial_state(E, Zero(), u0, tau0=1.0), q=None)
     baseline = run(E, constraint, st0, BacktrackingPolicy(tau0=1.0),
                    StoppingRule(max_iter=budget))
@@ -392,7 +391,7 @@ def test_criterion_10_mri_sanity():
     eps = float(np.finfo(float).eps)
     prob = make_synthetic_mri(0, 8, coils=1, mask_kind="full", eps=eps)
     E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
-    x = E.pack(prob.u_true, prob.b_true)
+    x = E.pack([prob.u_true, *prob.b_true])
     eps_terms = 0.5 * eps * (float(np.sum(np.abs(prob.u_true) ** 2))
                              + sum(float(np.sum(np.abs(b) ** 2)) for b in prob.b_true))
     assert E.value_and_grad(x)[0] - eps_terms <= 1e-12

@@ -288,7 +288,7 @@ class TestRunExperiment:
         tau = result.records[0].tau
         u, h = E.split(st0.u)
         gu, gh = E.split(E.value_and_grad(st0.u)[1])
-        expected = E.pack(u - tau * gu, project_simplex(h - tau * gh))
+        expected = E.pack([u - tau * gu, project_simplex(h - tau * gh)])
         assert np.array_equal(result.state.u, expected)
 
     def test_proximal_gd_solver(self, tmp_path):
@@ -389,9 +389,9 @@ class TestClassifierComputesOncePerPoint:
         cfg = parse_config_text(CLASSIFIER_CFG + f"solver = {solver}\n")
         log = run_experiment(cfg, tmp_path / "run")
         assert log.iterations == 6
-        # R(u) and rank_A* share one SVD per layer and point, from u0 on; the
-        # conjugate decides on the Gram matrix
-        assert calls["svd"] - calls["thin"] == 2 * (log.iterations + 1)
+        # R(u) and rank_A* share one SVD per layer and accepted point; the
+        # conjugate decides on the Gram matrix, and u0 takes none, as F(s0) = E(u0)
+        assert calls["svd"] - calls["thin"] == 2 * log.iterations
 
 
 class TestStateOwnsItsFacts:
@@ -483,7 +483,7 @@ class TestRunOwnsItsWarmStart:
         built = build_experiment(cfg)
         E, R = built.E, built.R
         image, kernel = E.split(built.u0)
-        starts = [built.u0, E.pack(image + 0.5, kernel)]
+        starts = [built.u0, E.pack([image + 0.5, kernel])]
         policy = BacktrackingPolicy(tau0=cfg["tau0"])
         stop = StoppingRule(max_iter=cfg["max_iter"])
 
@@ -539,9 +539,10 @@ class TestRunOwnsItsWarmStart:
         cfg = parse_config_text(DECONV_CFG)
         built = build_experiment(cfg)
         E = built.E
-        tv = TotalVariation2D(cfg["alpha"], E.image_shape, PdhgConfig(maxit=3))
-        R = SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel, False)])
+        n_image, n_kernel = E.sizes
+        tv = TotalVariation2D(cfg["alpha"], E.shapes[0], PdhgConfig(maxit=3))
+        R = SeparableSum([(tv, n_image), (SimplexIndicator(), n_kernel, False)])
         st = run(E, R, initial_state(E, R, built.u0, cfg["tau0"]),
                  BacktrackingPolicy(tau0=cfg["tau0"]), StoppingRule(max_iter=3)).state
-        _, res = st.warm[(0, E.n_image)]["tv"]
+        _, res = st.warm[(0, n_image)]["tv"]
         assert res.iters == 3 and tv.config.tol < res.gap < np.inf

@@ -33,3 +33,53 @@ class TestDiffCsv:
         assert report["k"] == (1, math.inf)
         assert report["surrogate"] == (2, math.inf)
         assert report["r_norm"] == (2, math.inf)
+
+
+def _outputs(files):
+    return {path: text.encode() for path, text in files.items()}
+
+
+class TestReport:
+    OLD = _outputs({
+        "deconv-linbreg/config.resolved": "alpha = 0.05\nmax_iter = 40\nseed = 0\n",
+        "deconv-linbreg/log.csv": OLD,
+        "deconv-linbreg/snapshots/iter_1.pgm": "a",
+        "deconv-linbreg/snapshots/iter_1.pgm.range": "b",
+        "deconv-linbreg/snapshots/iter_10.pgm": "c",
+        "mri-linbreg/log.csv": OLD,
+    })
+
+    def test_equal_outputs_report_only_the_count(self):
+        assert log_oracle.report(self.OLD, dict(self.OLD)) == ["0 of 6 files changed"]
+
+    def test_names_changed_config_lines(self):
+        new = self.OLD | _outputs({
+            "deconv-linbreg/config.resolved": "alpha = 0.1\nmax_iter = 40\nseed = 0\ntv_x = 1\n"})
+        assert log_oracle.report(self.OLD, new) == [
+            "changed: deconv-linbreg/config.resolved",
+            "  - alpha = 0.05",
+            "  + alpha = 0.1",
+            "  + tv_x = 1",
+            "1 of 6 files changed",
+        ]
+
+    def test_counts_changed_snapshots_once_per_run(self):
+        new = self.OLD | _outputs({
+            "deconv-linbreg/snapshots/iter_1.pgm": "x",
+            "deconv-linbreg/snapshots/iter_10.pgm": "y",
+            "mri-linbreg/log.csv": OLD.replace("2,1.5,2.5,1", "2,1.5,2.6,1"),
+        })
+        lines = log_oracle.report(self.OLD, new)
+        assert lines[0] == "changed: deconv-linbreg/snapshots/ (2 of 3 snapshot files)"
+        assert lines[1:3] == ["changed: mri-linbreg/log.csv",
+                              "  column surrogate: 1 rows changed, largest relative change 0.0385"]
+        assert lines[3:] == ["3 of 6 files changed"]
+
+    def test_a_file_on_one_side_only_is_named_without_a_diff(self):
+        new = self.OLD | _outputs({"mri-linbreg/snapshots/iter_1.csv": "z"})
+        assert log_oracle.report(self.OLD, new) == [
+            "changed: mri-linbreg/snapshots/ (1 of 1 snapshot files)", "1 of 7 files changed"]
+        del new["mri-linbreg/log.csv"]
+        assert log_oracle.report(self.OLD, new) == [
+            "changed: mri-linbreg/log.csv",
+            "changed: mri-linbreg/snapshots/ (1 of 1 snapshot files)", "2 of 7 files changed"]

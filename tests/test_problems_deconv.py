@@ -13,7 +13,7 @@ from linbreg.verify import finite_difference_gradient_check
 def blind_deconv_grad(u, h, f):
     """Gradient blocks (d/du, d/dh) of 0.5*||u * h - f||^2, from the stacked objective."""
     E = BlindDeconvObjective(f, np.shape(h))
-    return E.split(E.value_and_grad(E.pack(u, h))[1])
+    return E.split(E.value_and_grad(E.pack([u, h]))[1])
 
 
 class TestBlindDeconvGrad:
@@ -55,15 +55,15 @@ class TestEnergySymmetry:
         h = rng.standard_normal((5, 5))
         f = rng.standard_normal((5, 5))
         E = BlindDeconvObjective(f, (5, 5))
-        assert E.value_and_grad(E.pack(u, h))[0] == pytest.approx(
-            E.value_and_grad(E.pack(h, u))[0], rel=1e-12)
+        assert E.value_and_grad(E.pack([u, h]))[0] == pytest.approx(
+            E.value_and_grad(E.pack([h, u]))[0], rel=1e-12)
 
 
 class TestSyntheticInstances:
     def test_noiseless_data_in_range(self):
         prob = make_synthetic_deconv(3, 16, 16, (3, 5), sigma=0.0)
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-        assert E.value_and_grad(E.pack(prob.u_true, prob.h_true))[0] <= 1e-20
+        assert E.value_and_grad(E.pack([prob.u_true, prob.h_true]))[0] <= 1e-20
         assert prob.h_true.min() >= 0
         assert prob.h_true.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -105,8 +105,8 @@ class TestScaleSpaceTrend:
         prob = make_synthetic_deconv(11, 16, 16, (3, 3), sigma=0.0)
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
         tv = TotalVariation2D(0.05, (16, 16), config=PdhgConfig(tol=1e-7, maxit=200))
-        R = SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel)])
-        u0 = E.pack(np.zeros((16, 16)), np.full((3, 3), 1.0 / 9.0))
+        R = SeparableSum(list(zip([tv, SimplexIndicator()], E.sizes)))
+        u0 = E.pack([np.zeros((16, 16)), np.full((3, 3), 1.0 / 9.0)])
         st0 = initial_state(E, R, u0, tau0=2.0)
         tvs = []
 
@@ -141,11 +141,11 @@ class TestLibraryDefaults:
 
         prob = make_synthetic_deconv(seed, 32, 32)
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-        tv = TotalVariation2D(0.05, E.image_shape)
-        R = SeparableSum([(tv, E.n_image), (SimplexIndicator(), E.n_kernel)])
-        u0 = E.pack(np.zeros((32, 32)), np.full(prob.kernel_shape, 1.0 / E.n_kernel))
+        tv = TotalVariation2D(0.05, E.shapes[0])
+        R = SeparableSum(list(zip([tv, SimplexIndicator()], E.sizes)))
+        u0 = E.pack([np.zeros((32, 32)), np.full(prob.kernel_shape, 1.0 / E.sizes[1])])
         res = run(E, R, initial_state(E, R, u0, tau0=2.0), BacktrackingPolicy(tau0=2.0),
                   StoppingRule(max_iter=5))
         assert len(res.records) == 5
-        _, last = res.state.warm[(0, E.n_image)]["tv"]
+        _, last = res.state.warm[(0, E.sizes[0])]["tv"]
         assert 1 <= last.iters <= tv.config.maxit and np.isfinite(last.gap)

@@ -15,8 +15,8 @@ class TestEnergyGrad:
         prob = make_synthetic_mri(0, 8, coils=2, mask_kind="full")
         z = np.zeros((8, 8), dtype=np.complex128)
         E = ParallelMriObjective(prob.data, prob.mask, eps=0.0)
-        value, g = E.value_and_grad(E.pack(z, [z, z]))
-        gu, gbs = E.split(g)
+        value, g = E.value_and_grad(E.pack([z, z, z]))
+        gu, *gbs = E.split(g)
         expected = 0.5 * sum(np.sum(np.abs(f) ** 2) for f in prob.data)
         assert value == pytest.approx(expected, rel=1e-12)
         # the coil-image product kills all first-order terms at the origin
@@ -31,7 +31,7 @@ class TestEnergyGrad:
         data = [dft2(u * b)]
         eps = 1e-9
         E = ParallelMriObjective(data, mask, eps=eps)
-        gu, _ = E.split(E.value_and_grad(E.pack(u, [b]))[1])
+        gu, _ = E.split(E.value_and_grad(E.pack([u, b]))[1])
         assert np.abs(gu - eps * u).max() < 1e-12
 
     def test_shape_mismatch_rejected(self):
@@ -56,7 +56,7 @@ class TestParsevalReduction:
         f = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         b = np.ones((8, 8), dtype=np.complex128)
         E = ParallelMriObjective([f], np.ones((8, 8)), eps=0.0)
-        value, _ = E.value_and_grad(E.pack(u, [b]))
+        value, _ = E.value_and_grad(E.pack([u, b]))
         direct = 0.5 * np.sum(np.abs(u - idft2(f)) ** 2)
         assert value == pytest.approx(direct, rel=1e-10)
 
@@ -86,7 +86,7 @@ class TestSyntheticProblem:
         eps = np.finfo(float).eps
         prob = make_synthetic_mri(4, 8, coils=1, mask_kind="full", eps=eps)
         E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
-        x = E.pack(prob.u_true, prob.b_true)
+        x = E.pack([prob.u_true, *prob.b_true])
         eps_terms = 0.5 * eps * (np.sum(np.abs(prob.u_true) ** 2)
                                  + sum(np.sum(np.abs(b) ** 2) for b in prob.b_true))
         assert E.value_and_grad(x)[0] - eps_terms <= 1e-12
@@ -94,7 +94,7 @@ class TestSyntheticProblem:
     def test_pack_split_roundtrip(self):
         prob = make_synthetic_mri(5, 8, coils=2, mask_kind="spiral")
         E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
-        x = E.pack(prob.u_true, prob.b_true)
-        u, bs = E.split(x)
+        x = E.pack([prob.u_true, *prob.b_true])
+        u, *bs = E.split(x)
         assert np.array_equal(u, prob.u_true)
         assert all(np.array_equal(a, b) for a, b in zip(bs, prob.b_true))

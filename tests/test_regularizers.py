@@ -450,10 +450,13 @@ class TestInstancesCommon:
         rng = np.random.default_rng(seed)
         for R, n in self._instances():
             z = rng.standard_normal(n)
-            u = np.ravel(R.prox(z, 1.0))  # a point guaranteed inside dom(R)
-            q = np.ravel(R.initial_subgradient(u))
-            res = fenchel_residual(R, u, q)
-            assert res <= 1e-8 * (1.0 + abs(R.value(u)))
+            points = [np.ravel(R.prox(z, 1.0))]  # a point guaranteed inside dom(R)
+            if not isinstance(R, (SimplexIndicator, NonnegativeIndicator)):
+                points.append(z)  # dom(R) is the whole space: any point will do
+            for u in points:
+                q = np.ravel(R.initial_subgradient(u))
+                res = fenchel_residual(R, u, q)
+                assert res <= 1e-8 * (1.0 + abs(R.value(u)))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_convexity_along_segments(self, seed):

@@ -24,7 +24,15 @@ from linbreg import (
     run,
 )
 from linbreg.exceptions import NumericsError
-from linbreg.problems import LeastSquares, QuadraticObjective, random_psd_quadratic
+from linbreg.problems import (
+    BlindDeconvObjective,
+    ClassifierObjective,
+    LeastSquares,
+    ParallelMriObjective,
+    QuadraticObjective,
+    make_synthetic_mri,
+    random_psd_quadratic,
+)
 from linbreg.regularizers import (
     bregman_distance,
     fenchel_residual,
@@ -35,6 +43,7 @@ from linbreg.solver import (
     RunResult,
     SmoothObjective,
     SolverState,
+    StackedObjective,
     backtrack,
     check_sufficient_decrease,
     surrogate_subgradient,
@@ -667,6 +676,19 @@ class TestCertificateProperties:
         assert all(rec.decrease_ok and rec.bound_ok for rec in result.records)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("kind", CERTIFIED_KINDS)
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(seed=strategies.integers(0, 2**16))
+    def test_initial_surrogate_is_the_energy(self, kind, seed):
+        # initial_state sets F(s0) = E(u0) without evaluating the formula:
+        # Fenchel-Young makes R(u0) + R*(q0) - <u0, q0> vanish for q0 in dR(u0)
+        E = random_psd_quadratic(seed, 12, L=2.0)
+        R, u0 = _certified_instance(kind, seed)
+        st0 = initial_state(E, R, u0, 0.5)
+        assert st0.surrogate == st0.energy == E.value_and_grad(u0)[0]
+        formula = surrogate_value(st0.energy, R, u0, st0.q, base=u0)
+        assert abs(formula - st0.energy) <= 1e-12 * (1.0 + abs(st0.energy))
+
     @pytest.mark.xfail(strict=True, reason="the decrease check's tolerances do not "
                        "scale with the rounding error of q, which grows like 1/tau")
     def test_tiny_stepsize_trips_the_decrease_flag(self):
@@ -743,3 +765,38 @@ class TestLoopMatchesReference:
                           extras_fn=lambda st: {"mean": float(st.u.mean())})
         assert loop[0][1] == (6, 5)
         _same_loop(E, NuclearNorm(0.3, (6, 5)), f, 0.9, np.inf, n=12)
+
+
+def _stacked_instance(kind: str):
+    """(objective, arrays) on a small instance of each stacked objective."""
+    rng = np.random.default_rng(12)
+    if kind == "deconv":
+        E = BlindDeconvObjective(rng.standard_normal((6, 7)), (3, 2))
+        return E, [rng.standard_normal(s) for s in E.shapes]
+    if kind == "mri":
+        prob = make_synthetic_mri(12, 4, coils=2, mask_kind="full")
+        E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
+        return E, [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                   for _ in range(3)]
+    D = rng.uniform(size=(16, 5))
+    Y = np.eye(10)[:, rng.integers(0, 10, size=5)]
+    E = ClassifierObjective(D, Y, [(10, 3), (3, 16)])
+    return E, [rng.standard_normal(s) for s in E.shapes]
+
+
+class TestStackedLayout:
+    @pytest.mark.parametrize("kind", ["deconv", "mri", "classifier"])
+    def test_split_pack_views_and_length_check(self, kind):
+        E, arrays = _stacked_instance(kind)
+        x = E.pack(arrays)
+        assert x.shape == (E.size,) and E.size == sum(E.sizes)
+        got = E.split(x)
+        assert [(a.dtype, a.shape, a.tobytes()) for a in got] == \
+            [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+        # MRI joins its real blocks into new complex arrays; the blocks under
+        # them, and every block of the real objectives, are views of x
+        blocks = StackedObjective.split(E, x)
+        assert [b.shape for b in blocks] == E.shapes
+        assert all(np.shares_memory(b, x) for b in blocks)
+        with pytest.raises(ValueError, match=f"expected {E.size} entries, got {E.size + 1}"):
+            E.split(np.zeros(E.size + 1))

@@ -5,10 +5,12 @@ Runs nineteen configs under each of the three solvers (``linbreg``,
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
 on these runs exactly when their outputs are identical.  Given two source
-directories, it runs both, names each file whose bytes differ, and under each
+directories, it runs both and names each file whose bytes differ: under each
 changed ``log.csv`` each column that moved, with its count of changed rows and
-its largest relative change.  It then prints ``k of N files changed`` and exits
-1 when k > 0:
+its largest relative change, and under each changed ``config.resolved`` the
+lines only one side has.  A run's snapshots get one line, with its count of
+changed snapshot files.  It then prints ``k of N files changed`` and exits 1
+when k > 0:
 
     python tools/log_oracle.py src > hashes.txt
     python tools/log_oracle.py /path/to/other/checkout/src src
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import hashlib
 import io
 import math
@@ -130,6 +133,41 @@ def diff_csv(old: str, new: str) -> list[tuple[str, int, float]]:
     return report
 
 
+def diff_lines(old: str, new: str) -> list[str]:
+    """The lines only one text has, as ``- line`` (old) and ``+ line`` (new), in order."""
+    return [line for line in difflib.ndiff(old.splitlines(), new.splitlines())
+            if line.startswith(("- ", "+ "))]
+
+
+def report(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """The comparison of two ``run_all`` outputs, line by line, ending in ``k of N files changed``."""
+    paths = sorted(old.keys() | new.keys())
+    changed = [p for p in paths if old.get(p) != new.get(p)]
+    lines = []
+    snapshot_runs = set()
+    for path in changed:
+        run, _, name = path.partition("/")
+        if name.startswith("snapshots/"):
+            if run not in snapshot_runs:
+                snapshot_runs.add(run)
+                prefix = f"{run}/snapshots/"
+                snaps = [p for p in paths if p.startswith(prefix)]
+                moved = sum(old.get(p) != new.get(p) for p in snaps)
+                lines.append(f"changed: {prefix} ({moved} of {len(snaps)} snapshot files)")
+            continue
+        lines.append(f"changed: {path}")
+        if path not in old or path not in new:
+            continue
+        a, b = old[path].decode(), new[path].decode()
+        if name == "log.csv":
+            lines += [f"  column {col}: {rows} rows changed, largest relative change {worst:.3g}"
+                      for col, rows, worst in diff_csv(a, b)]
+        elif name == "config.resolved":
+            lines += [f"  {line}" for line in diff_lines(a, b)]
+    lines.append(f"{len(changed)} of {len(paths)} files changed")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="directory that contains the linbreg package")
@@ -146,15 +184,8 @@ def main(argv=None) -> int:
                         for path, data in outputs[0].items()))
         return 0
     old, new = outputs
-    paths = sorted(old.keys() | new.keys())
-    changed = [p for p in paths if old.get(p) != new.get(p)]
-    for path in changed:
-        print(f"changed: {path}")
-        if path.endswith("log.csv") and path in old and path in new:
-            for col, rows, worst in diff_csv(old[path].decode(), new[path].decode()):
-                print(f"  column {col}: {rows} rows changed, largest relative change {worst:.3g}")
-    print(f"{len(changed)} of {len(paths)} files changed")
-    return 1 if changed else 0
+    print("\n".join(report(old, new)))
+    return 0 if old == new else 1
 
 
 if __name__ == "__main__":
