@@ -7,7 +7,8 @@ directory:
 
 * ``log.csv``           one row per accepted iteration (fixed, versioned header)
 * ``config.resolved``   every key the run used, defaults included
-* ``summary.txt``       stop reason, iteration count, wall time, final metrics
+* ``summary.txt``       stop reason, iteration count, wall time, BLAS thread
+                        setting, final metrics
 * ``snapshots/``        iterates at the configured iterations (16-bit PGM with
                         a ``.range`` sidecar recording the affine pixel map,
                         or CSV for non-image variables)
@@ -20,6 +21,7 @@ tens of thousands of entries) can change in their last bits.
 
 from __future__ import annotations
 
+import os
 import shutil
 import time
 from dataclasses import dataclass, field, replace
@@ -60,6 +62,8 @@ from .tensor_ops import total_variation
 LOG_FORMAT_VERSION = 1
 BASE_COLUMNS = ["k", "tau", "energy", "surrogate", "iterate_gap", "breg_sym",
                 "r_norm", "rho2_bound", "decrease_ok", "bound_ok"]
+# recorded in summary.txt: log.csv's bytes can depend on the BLAS thread count
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +526,7 @@ def _run_into(cfg, built, st0, out: Path, snap_dir: Path, snaps: set) -> RunLog:
         f"stop_reason = {result.stop_reason}",
         f"iterations = {len(result.records)}",
         f"wall_time_s = {wall:.3f}",
+        "blas_threads = " + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS),
         f"final_energy = {_fmt(result.state.energy)}",
     ] + [f"final_{k} = {_fmt(v)}" for k, v in final_extras.items()]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")

@@ -92,9 +92,18 @@ class ParallelMriObjective(StackedObjective):
         super().__init__([self.mask.shape] * (2 * (1 + len(self.data))))
 
     def split(self, x):
-        """Stacked real vector -> [u, b_1, ..., b_s] as complex images."""
+        """Stacked real vector -> [u, b_1, ..., b_s] as complex images.
+
+        Each part is copied in as it is: ``re + 1j * im`` would multiply, which
+        makes an infinite ``im`` a NaN real part and a ``-0.0`` real part ``+0.0``.
+        """
         parts = super().split(x)
-        return [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
+        out = []
+        for re, im in zip(parts[::2], parts[1::2]):
+            z = np.empty(re.shape, dtype=np.complex128)
+            z.real, z.imag = re, im
+            out.append(z)
+        return out
 
     def pack(self, arrays):
         return super().pack([p for a in arrays for p in (np.real(a), np.imag(a))])

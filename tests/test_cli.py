@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import linbreg
 from linbreg.cli import main
 from helpers import write_idx_images, write_idx_labels
 
@@ -214,6 +220,38 @@ class TestRun:
         assert main(["run", cfg, "--out", str(tmp_path / "b")]) == 0
         assert ((tmp_path / "a" / "log.csv").read_bytes()
                 == (tmp_path / "b" / "log.csv").read_bytes())
+
+
+FOOTPRINT_SCRIPT = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+    from linbreg.cli import main
+
+    work = Path(sys.argv[1])
+    configs = {
+        "deconv": "problem = deconv\\nheight = 12\\nwidth = 12\\nmax_iter = 3\\n",
+        "classifier": "problem = classifier\\ntrain_n = 20\\nhidden = 4\\nmax_iter = 3\\n",
+        "quadratic": "problem = quadratic\\nn = 6\\nreg = l1\\nmax_iter = 3\\n",
+        "mri": "problem = mri\\nn = 8\\nmax_iter = 2\\n",
+    }
+    for name, text in configs.items():
+        cfg = work / (name + ".cfg")
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(work / name)]) == 0
+        print(name, "scipy" in sys.modules)
+""")
+
+
+class TestImportFootprint:
+    def test_scipy_loads_only_at_the_first_dct(self, tmp_path):
+        # a fresh interpreter: this one may already hold scipy
+        src = str(Path(linbreg.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path)],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert [ln for ln in proc.stdout.splitlines() if ln.endswith(("True", "False"))] == [
+            "deconv False", "classifier False", "quadratic False", "mri True"]
 
 
 class TestSolverErrorExitCode:

@@ -163,6 +163,15 @@ class TestRunExperiment:
         assert len(text.splitlines()) == 1  # header only
         assert "stop_reason = max_iter" in (tmp_path / "run" / "summary.txt").read_text()
 
+    def test_summary_records_the_blas_thread_setting(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_experiment(apply_overrides(parse_config_text(QUAD_CFG), max_iter=2), tmp_path / "run")
+        lines = (tmp_path / "run" / "summary.txt").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("blas_threads")] == [
+            "blas_threads = OMP_NUM_THREADS=3 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=unset"]
+
     def test_resolved_config_written(self, tmp_path):
         cfg = parse_config_text(QUAD_CFG)
         run_experiment(cfg, tmp_path / "run")

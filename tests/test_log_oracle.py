@@ -1,6 +1,9 @@
 import importlib.util
 import math
+import os
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "log_oracle", Path(__file__).resolve().parents[1] / "tools" / "log_oracle.py")
@@ -83,3 +86,57 @@ class TestReport:
         assert log_oracle.report(self.OLD, new) == [
             "changed: mri-linbreg/log.csv",
             "changed: mri-linbreg/snapshots/ (1 of 1 snapshot files)", "2 of 7 files changed"]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestSideEnvironments:
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Stand in for ``python -m linbreg run``: each run writes a log.csv
+        holding its thread variable and its PYTHONPATH, and is recorded."""
+        seen = []
+
+        def fake_run(cmd, env, check, stdout):
+            seen.append(env)
+            out = Path(cmd[cmd.index("--out") + 1])
+            out.mkdir()
+            threads = env.get("OPENBLAS_NUM_THREADS", "unset")
+            (out / "log.csv").write_text(f"k,threads,path\n1,{threads},{env['PYTHONPATH']}\n")
+
+        monkeypatch.setattr(log_oracle.subprocess, "run", fake_run)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        return seen
+
+    def test_each_side_gets_only_its_own_variables(self, runs, capsys):
+        code = log_oracle.main([str(SRC), str(SRC), "--env-old", "OPENBLAS_NUM_THREADS=1",
+                                "--env-new", "OPENBLAS_NUM_THREADS=2", "--env-new", "X=a=b"])
+        n = len(log_oracle.CONFIGS) * len(log_oracle.SOLVERS)
+        assert len(runs) == 2 * n
+        assert {env["OPENBLAS_NUM_THREADS"] for env in runs[:n]} == {"1"}
+        assert {env["OPENBLAS_NUM_THREADS"] for env in runs[n:]} == {"2"}
+        assert "X" not in runs[0] and {env["X"] for env in runs[n:]} == {"a=b"}
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["changed: classifier-130-linbreg/log.csv",
+                             "  column threads: 1 rows changed, largest relative change 0.5"]
+        assert lines[-1] == f"{n} of {n} files changed"
+        assert code == 1
+
+    def test_the_tree_is_always_on_the_path(self, runs, capsys):
+        code = log_oracle.main([str(SRC), str(SRC), "--env-old", "PYTHONPATH=elsewhere"])
+        assert {env["PYTHONPATH"] for env in runs} == {str(SRC)}
+        assert capsys.readouterr().out.splitlines()[-1].startswith("0 of ")
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--env-old", "OPENBLAS_NUM_THREADS"],
+        ["--env-old", "=1"],
+        ["--env-new", "OPENBLAS_NUM_THREADS=2"],  # no second tree
+    ])
+    def test_malformed_or_one_sided_assignments_are_usage_errors(self, runs, argv):
+        with pytest.raises(SystemExit) as exc:
+            log_oracle.main([str(SRC), *argv])
+        assert exc.value.code == 2
+        assert runs == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,19 @@ class TestSyntheticProblem:
         u, *bs = E.split(x)
         assert np.array_equal(u, prob.u_true)
         assert all(np.array_equal(a, b) for a, b in zip(bs, prob.b_true))
+
+    def test_split_pairs_non_finite_and_signed_zero_parts_exactly(self):
+        prob = make_synthetic_mri(5, 8, coils=2, mask_kind="full")
+        E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
+        x = np.random.default_rng(6).standard_normal(E.size)
+        # every (real, imaginary) pairing of these values in u, a few in the last coil
+        special = [np.inf, -np.inf, -0.0, np.nan, 1.0]
+        block = E.sizes[0]
+        for i, (a, b) in enumerate((a, b) for a in special for b in special):
+            x[i] = a
+            x[block + i] = b
+        x[-3:] = [-0.0, np.inf, np.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = E.pack(E.split(x))
+        assert y.tobytes() == x.tobytes()

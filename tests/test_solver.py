@@ -49,6 +49,7 @@ from linbreg.solver import (
     surrogate_subgradient,
     surrogate_value,
 )
+from linbreg.tensor_ops import dct2
 
 from helpers import iterate_reference
 from instances import make_instance, run_instance
@@ -657,6 +658,11 @@ CERTIFIED_KINDS = ["zero", "squared-l2", "l1", "weighted-l1-dct", "nonnegative",
 class TestCertificateProperties:
     """On seeded quadratics with known L and tau0 <= 1/L, every record's
     decrease and bound flags hold, for every regularizer with a conjugate."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _dct_loaded(self):
+        # dct2 imports scipy.fft at its first call; keep that out of the timed region
+        dct2(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("kind", CERTIFIED_KINDS)
     @settings(derandomize=True, deadline=None, database=None, max_examples=30)

@@ -15,6 +15,13 @@ when k > 0:
     python tools/log_oracle.py src > hashes.txt
     python tools/log_oracle.py /path/to/other/checkout/src src
 
+``--env-old NAME=VALUE`` and ``--env-new NAME=VALUE`` (repeatable) set a
+variable in the runs of the first or the second tree only, so that one tree
+can run against itself under two environments:
+
+    python tools/log_oracle.py src src --env-old OPENBLAS_NUM_THREADS=1 \
+        --env-new OPENBLAS_NUM_THREADS=2
+
 Uses the standard library only; each run is a ``python -m linbreg run``
 subprocess.
 """
@@ -77,9 +84,12 @@ CONFIGS = {
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
 
-def run_all(src: Path) -> dict[str, bytes]:
-    """Run every config under every solver; map each output path to its bytes."""
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+def run_all(src: Path, extra_env: dict[str, str] | None = None) -> dict[str, bytes]:
+    """Run every config under every solver; map each output path to its bytes.
+
+    ``extra_env`` is added to the runs' environment; PYTHONPATH is always ``src``.
+    """
+    env = {**os.environ, **(extra_env or {}), "PYTHONPATH": str(src.resolve())}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, text in CONFIGS.items():
@@ -168,17 +178,32 @@ def report(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
     return lines
 
 
+def env_assignment(text: str) -> tuple[str, str]:
+    """``NAME=VALUE`` -> (NAME, VALUE); the value may be empty or hold ``=``."""
+    name, sep, value = text.partition("=")
+    if not sep or not name:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    return name, value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="directory that contains the linbreg package")
     parser.add_argument("new_src", type=Path, nargs="?",
                         help="a second such directory, compared file by file with src")
+    for side, tree in (("old", "src"), ("new", "new_src")):
+        parser.add_argument(f"--env-{side}", type=env_assignment, action="append", default=[],
+                            metavar="NAME=VALUE",
+                            help=f"set a variable in the runs of {tree} only (repeatable)")
     args = parser.parse_args(argv)
+    if args.env_new and args.new_src is None:
+        parser.error("--env-new needs a second directory")
     trees = [t for t in (args.src, args.new_src) if t is not None]
     for tree in trees:
         if not (tree / "linbreg" / "__init__.py").is_file():
             parser.error(f"{tree} has no linbreg package")
-    outputs = [run_all(tree) for tree in trees]
+    envs = (dict(args.env_old), dict(args.env_new))
+    outputs = [run_all(tree, env) for tree, env in zip(trees, envs)]
     if len(outputs) == 1:
         print("\n".join(f"{hashlib.sha256(data).hexdigest()}  {path}"
                         for path, data in outputs[0].items()))
