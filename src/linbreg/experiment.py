@@ -15,8 +15,9 @@ directory:
 
 Re-running a config with the same seed reproduces ``log.csv`` byte for byte at
 a fixed BLAS thread count.  Across thread counts the classifier's energies
-(matrix products) and the monitors of large MRI runs (BLAS reductions over
-tens of thousands of entries) can change in their last bits.
+(matrix products) and monitors that reduce through BLAS over long vectors (a
+classifier's ``r_norm`` over 12,704 entries, most monitors of large MRI runs)
+can change in their last bits.
 """
 
 from __future__ import annotations
@@ -526,7 +527,8 @@ def _run_into(cfg, built, st0, out: Path, snap_dir: Path, snaps: set) -> RunLog:
         f"stop_reason = {result.stop_reason}",
         f"iterations = {len(result.records)}",
         f"wall_time_s = {wall:.3f}",
-        "blas_threads = " + " ".join(f"{v}={os.environ.get(v, 'unset')}" for v in BLAS_THREAD_VARS),
+        "blas_threads = " + " ".join(f"{v}={os.environ.get(v, 'unset')}"
+                                     for v in BLAS_THREAD_VARS),
         f"final_energy = {_fmt(result.state.energy)}",
     ] + [f"final_{k} = {_fmt(v)}" for k, v in final_extras.items()]
     (out / "summary.txt").write_text("\n".join(summary) + "\n")

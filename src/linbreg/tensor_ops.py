@@ -6,10 +6,11 @@ pairs.  All functions are pure: inputs are never mutated.
 
 scipy serves only the DCT, which only MRI's coil-map regularizer
 (``WeightedL1Dct``) takes, so ``dct2`` and ``idct2`` import ``scipy.fft`` at
-their first call.  Loading it at import made every ``import linbreg`` cost
-about 0.25 s and 27 MB of peak RSS more (0.36 s and 56 MB against 0.11 s and
-29.5 MB for ``import linbreg.experiment, linbreg.cli``, Python 3.11, numpy 2.4,
-scipy 1.17) in deconvolution, classifier and quadratic runs that never use it.
+their first call and deconvolution, classifier and quadratic runs never load
+it.  Loading it costs about 0.25 s and 27 MB of peak RSS: in a fresh
+interpreter ``import linbreg.experiment, linbreg.cli`` takes 0.11 s and
+29.5 MB without it, 0.36 s and 56 MB with it (Python 3.11, numpy 2.4,
+scipy 1.17).
 """
 
 from __future__ import annotations

@@ -111,12 +111,14 @@ class TestSideEnvironments:
 
     def test_each_side_gets_only_its_own_variables(self, runs, capsys):
         code = log_oracle.main([str(SRC), str(SRC), "--env-old", "OPENBLAS_NUM_THREADS=1",
-                                "--env-new", "OPENBLAS_NUM_THREADS=2", "--env-new", "X=a=b"])
+                                "--env-new", "OPENBLAS_NUM_THREADS=2",
+                                "--env-new", "ORACLE_TEST_VAR=a=b"])
         n = len(log_oracle.CONFIGS) * len(log_oracle.SOLVERS)
         assert len(runs) == 2 * n
         assert {env["OPENBLAS_NUM_THREADS"] for env in runs[:n]} == {"1"}
         assert {env["OPENBLAS_NUM_THREADS"] for env in runs[n:]} == {"2"}
-        assert "X" not in runs[0] and {env["X"] for env in runs[n:]} == {"a=b"}
+        assert "ORACLE_TEST_VAR" not in runs[0]
+        assert {env["ORACLE_TEST_VAR"] for env in runs[n:]} == {"a=b"}
         assert "OPENBLAS_NUM_THREADS" not in os.environ
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["changed: classifier-130-linbreg/log.csv",

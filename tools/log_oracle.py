@@ -84,12 +84,12 @@ CONFIGS = {
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
 
-def run_all(src: Path, extra_env: dict[str, str] | None = None) -> dict[str, bytes]:
+def run_all(src: Path, extra_env: dict[str, str]) -> dict[str, bytes]:
     """Run every config under every solver; map each output path to its bytes.
 
     ``extra_env`` is added to the runs' environment; PYTHONPATH is always ``src``.
     """
-    env = {**os.environ, **(extra_env or {}), "PYTHONPATH": str(src.resolve())}
+    env = {**os.environ, **extra_env, "PYTHONPATH": str(src.resolve())}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, text in CONFIGS.items():
