@@ -4,8 +4,9 @@
     linbreg check <config>
     linbreg grad-check <config> [--seed S]
 
-Exit codes: 0 on a normal stop, 2 on configuration errors, 3 on solver or
-numerical errors.
+Exit codes: 0 on a normal stop, 2 on configuration errors and on output
+errors (an output directory that cannot be created or written), 3 on solver
+or numerical errors.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
     except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(f"stopped: {log.stop_reason} after {log.iterations} iterations, "
           f"final energy {log.final_energy:.6e} -> {log.out_dir}")
     return 0

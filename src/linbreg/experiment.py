@@ -254,9 +254,14 @@ def parse_config(path) -> ExperimentConfig:
     """Parse and resolve a key-value config file; raises ConfigError with line numbers."""
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
+                          f"at offset {exc.start}") from exc
     return parse_config_text(text, source=str(path))
 
 
@@ -369,6 +374,9 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{cfg.source}: cannot load 'data_images' and 'data_labels': "
                               f"{exc}") from exc
+        if D.shape[1] < cfg["train_n"]:
+            raise ConfigError(f"{cfg.source}: 'train_n' = {cfg['train_n']} but 'data_images' "
+                              f"holds only {D.shape[1]} samples")
     else:
         D, labels = synthetic_digits(cfg["seed"], cfg["train_n"])
     Y = one_hot(labels)
@@ -483,10 +491,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunLog:
     snap_dir = out / "snapshots"
     snaps = set(cfg["snapshots"])
     created = _outermost_missing(snap_dir if snaps else out)
-    out.mkdir(parents=True, exist_ok=True)
-    if snaps:
-        snap_dir.mkdir(exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
+        if snaps:
+            snap_dir.mkdir(exist_ok=True)
         return _run_into(cfg, built, st0, out, snap_dir, snaps)
     except BaseException:
         if created is not None:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..solver import StackedObjective
-from ..tensor_ops import (
-    as_tensor,
-    conv2d_periodic,
-    conv2d_periodic_adjoint,
-    kernel_gradient,
-)
+from ..tensor_ops import as_tensor, conv2d_periodic, embed_kernel
 
 
 @dataclass
@@ -43,10 +38,17 @@ class BlindDeconvObjective(StackedObjective):
         super().__init__([self.f.shape, kernel_shape])
 
     def value_and_grad(self, x, facts=None):
-        u, h = self.split(x)
-        r = conv2d_periodic(u, h) - self.f
-        gu = conv2d_periodic_adjoint(r, h)
-        gh = kernel_gradient(u, r, h.shape)
+        u, h = self.split(np.asarray(x, dtype=np.float64))
+        # each spectrum once: the image, the embedded kernel, the residual r
+        U = np.fft.fft2(u)
+        Hk = np.fft.fft2(embed_kernel(h, u.shape))
+        r = np.real(np.fft.ifft2(U * Hk)) - self.f
+        Rk = np.fft.fft2(r)
+        gu = np.real(np.fft.ifft2(Rk * np.conj(Hk)))
+        # the correlation of r with u on the kernel support: the adjoint of the embedding
+        kh, kw = h.shape
+        corr = np.real(np.fft.ifft2(Rk * np.conj(U)))
+        gh = np.roll(corr, (kh // 2, kw // 2), axis=(0, 1))[:kh, :kw]
         return 0.5 * float(np.sum(r * r)), self.pack([gu, gh])
 
 

@@ -1,8 +1,11 @@
 """Dense-array primitives used by every problem driver.
 
-Periodic 2-D convolution and its adjoint, the forward-difference image
-gradient and its negative adjoint (divergence), and orthonormal DFT/DCT
-pairs.  All functions are pure: inputs are never mutated.
+Periodic 2-D convolution and its centre-anchored kernel embedding, the
+forward-difference image gradient and its negative adjoint (divergence), and
+orthonormal DFT/DCT pairs.  All functions are pure: inputs are never mutated.
+The deconvolution energy (``BlindDeconvObjective.value_and_grad``) takes its
+three spectra, of the image, the embedded kernel and the residual, once each,
+and forms both adjoints from them.
 
 scipy serves only the DCT, which only MRI's coil-map regularizer
 (``WeightedL1Dct``) takes, so ``dct2`` and ``idct2`` import ``scipy.fft`` at
@@ -33,7 +36,7 @@ def as_tensor(data) -> np.ndarray:
     return arr
 
 
-def _embed_kernel(h: np.ndarray, image_shape) -> np.ndarray:
+def embed_kernel(h: np.ndarray, image_shape) -> np.ndarray:
     """Zero-pad a kernel to image size with its centre anchored at index (0, 0)."""
     H, W = image_shape
     kh, kw = h.shape
@@ -52,38 +55,8 @@ def conv2d_periodic(u: np.ndarray, h: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    pad = _embed_kernel(h, u.shape)
+    pad = embed_kernel(h, u.shape)
     return np.real(np.fft.ifft2(np.fft.fft2(u) * np.fft.fft2(pad)))
-
-
-def conv2d_periodic_adjoint(v: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Adjoint of ``conv2d_periodic`` in its first argument (circular correlation)."""
-    v = np.asarray(v, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    pad = _embed_kernel(h, v.shape)
-    return np.real(np.fft.ifft2(np.fft.fft2(v) * np.conj(np.fft.fft2(pad))))
-
-
-def kernel_gradient(u: np.ndarray, r: np.ndarray, kernel_shape) -> np.ndarray:
-    """Gradient of 0.5*||u * h - f||^2 with respect to the kernel entries.
-
-    ``r`` is the residual u * h - f at the point of evaluation; the result is
-    the circular cross-correlation of ``r`` with ``u`` restricted to the
-    kernel support, anchored like ``conv2d_periodic``.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if u.shape != r.shape:
-        raise ValueError(f"residual shape {r.shape} != image shape {u.shape}")
-    kh, kw = kernel_shape
-    H, W = u.shape
-    if kh > H or kw > W:
-        raise ValueError(f"kernel {kernel_shape} larger than image {u.shape}")
-    # full cross-correlation C[s, t] = sum_{i,j} r[i, j] u[(i - s) % H, (j - t) % W]
-    corr = np.real(np.fft.ifft2(np.fft.fft2(r) * np.conj(np.fft.fft2(u))))
-    rows = (np.arange(kh) - kh // 2) % H
-    cols = (np.arange(kw) - kw // 2) % W
-    return corr[np.ix_(rows, cols)]
 
 
 def check_image(u: np.ndarray) -> np.ndarray:

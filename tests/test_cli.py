@@ -1,3 +1,4 @@
+import errno
 import os
 import subprocess
 import sys
@@ -43,6 +44,18 @@ class TestCheck:
 
     def test_missing_file_exit_code_2(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.cfg")]) == 2
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_non_utf8_config_exit_code_2(self, tmp_path, capsys, command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"problem = q\xffuadratic\n")
+        out = tmp_path / "out"
+        flags = ["--out", str(out)] if command == "run" else []
+        assert main([command, str(cfg)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(cfg) in err
+        assert "byte 0xff at offset 11" in err
+        assert not out.exists()
 
 
 # values outside the range of the object or problem each key configures:
@@ -171,7 +184,7 @@ class TestOutOfRange:
         "problem = deconv\nheight = 4\nwidth = 5\ntv_tol = 0\ntv_maxit = 5\n",
         "problem = quadratic\nn = 3\niterate_gap_tol = 0\n",
         "problem = quadratic\nn = 3\nsnapshots = 1\n",
-        DIGITS % ("images.idx", "labels.idx"),
+        DIGITS % ("images.idx", "labels.idx") + "train_n = 4\n",
         # a quadratic's energy can be negative, and so can its target
         "problem = quadratic\nn = 3\ndiscrepancy_eta = -1\n",
     ], ids=["mri", "deconv", "deconv-full-kernel", "quadratic", "classifier", "mask_p-0",
@@ -329,6 +342,45 @@ class TestSolverErrorExitCode:
         assert main(["run", cfg, "--out", str(out)]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "kept\n"
+
+
+class TestOutputErrors:
+    def test_output_directory_under_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, QUAD)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main(["run", cfg, "--out", str(afile / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
+        assert afile.read_text() == "kept\n"
+
+    def test_unwritable_output_removes_the_directories_the_run_created(
+            self, tmp_path, capsys, monkeypatch):
+        import linbreg.experiment as experiment
+
+        def disk_full(path, records, extra_columns):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(experiment, "write_log_csv", disk_full)
+        cfg = write_cfg(tmp_path, QUAD + "snapshots = 1\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "a" / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and "No space left on device" in err
+        assert not (tmp_path / "a").exists()
+
+
+class TestDigitSetSize:
+    def test_fewer_samples_than_train_n_exits_2(self, tmp_path, capsys):
+        write_idx_images(tmp_path / "images.idx", np.zeros((12, 28, 28), dtype=np.uint8))
+        write_idx_labels(tmp_path / "labels.idx", np.arange(12) % 10)
+        cfg = write_cfg(tmp_path, (DIGITS % ("images.idx", "labels.idx")).format(tmp=tmp_path)
+                        + "train_n = 500\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'train_n' = 500" in err and "only 12 samples" in err
+        assert not out.exists()
+        assert main(["grad-check", cfg]) == 2
 
 
 class TestGradCheck:

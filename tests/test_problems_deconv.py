@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,109 @@ class TestBlindDeconvGrad:
         x = rng.standard_normal(E.size) * 0.5
         report = finite_difference_gradient_check(E, x, n_coords=20, seed=seed)
         assert report.max_rel_err < 1e-5
+
+
+def seeded_point(shape, kernel_shape, seed):
+    """A deconv objective with seeded data f and a seeded stacked point x."""
+    rng = np.random.default_rng(seed)
+    E = BlindDeconvObjective(rng.standard_normal(shape), kernel_shape)
+    return E, rng.standard_normal(E.size)
+
+
+def digest(value, g):
+    """SHA-256 over the bytes of the energy and of the stacked gradient."""
+    return hashlib.sha256(np.float64(value).tobytes() + g.tobytes()).hexdigest()
+
+
+# (image shape, kernel shape, seed): square, non-square, an even kernel, a
+# kernel the size of the image, and a single-row image
+SPECTRA_CASES = {
+    "square-8x8-k3x3": ((8, 8), (3, 3), 0),
+    "nonsquare-6x9-k3x5": ((6, 9), (3, 5), 1),
+    "even-12x10-k4x2": ((12, 10), (4, 2), 2),
+    "full-6x7-k6x7": ((6, 7), (6, 7), 3),
+    "row-1x9-k1x4": ((1, 9), (1, 4), 4),
+}
+
+# recorded from the energy that called conv2d_periodic, its adjoint and
+# kernel_gradient in turn, before it took each spectrum once
+SPECTRA_SHA = {
+    "square-8x8-k3x3": "935887afc630a2bf28ed98d4dc0d12a3c510a3ddb38011003696b70861f6d0c2",
+    "nonsquare-6x9-k3x5": "5193cd2a0369e5be47c34d12daf416f7b9f6a6c364f2ebb547af9f5e3f905dbe",
+    "even-12x10-k4x2": "d1a6edbde8ca5b9963b6eb59af587a75bff02e55288affb068fd9becf05c0989",
+    "full-6x7-k6x7": "50ac8a9c73fdd32b0727c8a6fa562d95ea6db19ff3280b325b9db1aa07710c2e",
+    "row-1x9-k1x4": "6f4e45fde7497b21d2b04ee9d9b0d918d4e0b06cad3791017bcf4ed7aff4fff7",
+}
+
+
+class TestEnergySpectra:
+    """The energy's gradient blocks are the adjoints of the forward model."""
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA_CASES))
+    def test_adjoint_identities(self, name):
+        # <grad_u, w> = <r, w * h> and <grad_h, k> = <r, u * k> for random w, k
+        shape, kshape, seed = SPECTRA_CASES[name]
+        E, x = seeded_point(shape, kshape, seed)
+        u, h = E.split(x)
+        gu, gh = E.split(E.value_and_grad(x)[1])
+        r = conv2d_periodic(u, h) - E.f
+        rng = np.random.default_rng(seed + 50)
+        for _ in range(3):
+            w = rng.standard_normal(shape)
+            k = rng.standard_normal(kshape)
+            rhs_u = np.vdot(r, conv2d_periodic(w, h))
+            rhs_h = np.vdot(r, conv2d_periodic(u, k))
+            assert abs(np.vdot(gu, w) - rhs_u) <= 1e-12 * (1.0 + abs(rhs_u)) * E.size
+            assert abs(np.vdot(gh, k) - rhs_h) <= 1e-12 * (1.0 + abs(rhs_h)) * E.size
+
+    def test_zero_residual_gives_zero_gradients(self):
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal((5, 5))
+        h = rng.standard_normal((3, 3))
+        E = BlindDeconvObjective(conv2d_periodic(u, h), (3, 3))
+        value, g = E.value_and_grad(E.pack([u, h]))
+        assert value == 0.0
+        assert np.array_equal(g, np.zeros(E.size))
+
+    def test_single_pixel_image(self):
+        # u is one pixel at (2, 1) and h the 1x1 kernel [c], so r = c u - f,
+        # grad_u = c r and grad_h = r[2, 1]
+        u = np.zeros((4, 4))
+        u[2, 1] = 1.0
+        f = np.arange(16.0).reshape(4, 4)
+        E = BlindDeconvObjective(f, (1, 1))
+        gu, gh = E.split(E.value_and_grad(E.pack([u, [[0.5]]]))[1])
+        r = 0.5 * u - f
+        assert np.allclose(gu, 0.5 * r, atol=1e-12)
+        assert np.allclose(gh, [[r[2, 1]]], atol=1e-12)
+
+    def test_kernel_larger_than_image_rejected(self):
+        E = BlindDeconvObjective(np.zeros((3, 3)), (4, 2))
+        with pytest.raises(ValueError, match="larger than image"):
+            E.value_and_grad(np.zeros(E.size))
+
+    def test_three_forward_and_three_inverse_ffts(self, monkeypatch):
+        calls = {"fft2": 0, "ifft2": 0}
+
+        def counted(name):
+            fn = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        E, x = seeded_point((8, 8), (3, 3), 0)
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        E.value_and_grad(x)
+        assert calls == {"fft2": 3, "ifft2": 3}
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA_CASES))
+    def test_pinned_bits(self, name):
+        E, x = seeded_point(*SPECTRA_CASES[name])
+        assert digest(*E.value_and_grad(x)) == SPECTRA_SHA[name]
 
 
 class TestEnergySymmetry:

@@ -4,14 +4,12 @@ import pytest
 from linbreg.tensor_ops import (
     as_tensor,
     conv2d_periodic,
-    conv2d_periodic_adjoint,
     dct2,
     dft2,
     div2d,
     grad2d_forward,
     idct2,
     idft2,
-    kernel_gradient,
     total_variation,
 )
 from helpers import conv2d_oracle, dft2_oracle
@@ -81,64 +79,6 @@ class TestConv2dPeriodic:
                     pad[(a - kh // 2) % 6, (b - kw // 2) % 6] = h[a, b]
             spectral = np.real(idft2(dft2(u) * dft2(pad))) * 6.0  # sqrt(H*W)
             assert np.abs(conv2d_periodic(u, h) - spectral).max() < 1e-10
-
-
-class TestConvAdjoint:
-    def test_identity_kernel(self):
-        rng = np.random.default_rng(5)
-        v = rng.standard_normal((4, 4))
-        assert np.allclose(conv2d_periodic_adjoint(v, np.array([[1.0]])), v, atol=1e-14)
-
-    def test_symmetric_kernel_self_adjoint(self):
-        rng = np.random.default_rng(6)
-        v = rng.standard_normal((5, 5))
-        h = rng.standard_normal((3, 3))
-        h = h + h[::-1, ::-1]  # h(-x) = h(x) around the centre
-        assert np.allclose(conv2d_periodic_adjoint(v, h), conv2d_periodic(v, h), atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_inner_product_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal((5, 5))
-        v = rng.standard_normal((5, 5))
-        h = rng.standard_normal((3, 3))
-        lhs = np.vdot(conv2d_periodic(u, h), v)
-        rhs = np.vdot(u, conv2d_periodic_adjoint(v, h))
-        assert abs(lhs - rhs) < 1e-12
-
-
-class TestKernelGradient:
-    def test_zero_residual(self):
-        rng = np.random.default_rng(7)
-        u = rng.standard_normal((5, 5))
-        g = kernel_gradient(u, np.zeros((5, 5)), (3, 3))
-        assert np.array_equal(g, np.zeros((3, 3)))
-
-    def test_delta_image_single_pixel(self):
-        u = np.zeros((4, 4))
-        u[2, 1] = 1.0
-        r = np.arange(16.0).reshape(4, 4)
-        g = kernel_gradient(u, r, (1, 1))
-        assert np.allclose(g, [[r[2, 1]]], atol=1e-12)
-
-    def test_matches_finite_differences_of_energy(self):
-        rng = np.random.default_rng(8)
-        u = rng.standard_normal((6, 6))
-        h = rng.standard_normal((3, 3))
-        f = rng.standard_normal((6, 6))
-        r = conv2d_periodic(u, h) - f
-        g = kernel_gradient(u, r, (3, 3))
-
-        def energy(hvec):
-            rr = conv2d_periodic(u, hvec.reshape(3, 3)) - f
-            return 0.5 * np.sum(rr * rr)
-
-        step = 1e-6
-        for idx in range(9):
-            e = np.zeros(9)
-            e[idx] = step
-            fd = (energy(h.ravel() + e) - energy(h.ravel() - e)) / (2 * step)
-            assert abs(fd - g.ravel()[idx]) / (1.0 + abs(fd)) < 1e-5
 
 
 class TestGradDiv:

@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 57 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 60 fixed CLI runs.
 
-Runs nineteen configs under each of the three solvers (``linbreg``,
+Runs twenty configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -80,6 +80,9 @@ CONFIGS = {
     "classifier-klsym": ("problem = classifier\ntrain_n = 60\nhidden = 8\nmax_iter = 20\n"
                          "loss = kl-sym\n"),
     "mri-fullmask": "problem = mri\nn = 16\nmax_iter = 15\nmask = full\n",
+    # an even kernel, anchored at k // 2 in both dimensions
+    "deconv-12x10-k4x2": ("problem = deconv\nheight = 12\nwidth = 10\nkernel_h = 4\n"
+                          "kernel_w = 2\nseed = 5\nmax_iter = 20\n"),
 }
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
