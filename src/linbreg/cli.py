@@ -4,9 +4,10 @@
     linbreg check <config>
     linbreg grad-check <config> [--seed S]
 
-Exit codes: 0 on a normal stop, 2 on configuration errors and on output
-errors (an output directory that cannot be created or written), 3 on solver
-or numerical errors.
+``check`` parses the config and builds its instance, data files included,
+without running it.  Exit codes: 0 on a normal stop, 2 on configuration
+errors and on output errors (an output directory that cannot be created or
+written), 3 on solver or numerical errors.
 """
 
 from __future__ import annotations
@@ -48,46 +49,34 @@ def main(argv=None) -> int:
     try:
         cfg = apply_overrides(parse_config(args.config), seed=getattr(args, "seed", None),
                               max_iter=getattr(args, "max_iter", None))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "check":
-        print(f"ok: problem={cfg['problem']} solver={cfg['solver']} "
-              f"max_iter={cfg['max_iter']} seed={cfg['seed']}")
-        return 0
-
-    if args.command == "grad-check":
-        try:
+        if args.command == "check":
+            build_experiment(cfg)
+            print(f"ok: problem={cfg['problem']} solver={cfg['solver']} "
+                  f"max_iter={cfg['max_iter']} seed={cfg['seed']}")
+            return 0
+        if args.command == "grad-check":
             built = build_experiment(cfg)
             rng = np.random.default_rng(cfg["seed"])
             point = built.u0 + 0.01 * rng.standard_normal(np.asarray(built.u0).shape)
             report = finite_difference_gradient_check(built.E, point, seed=cfg["seed"])
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        except NumericsError as exc:
-            print(f"grad-check failed: {exc}", file=sys.stderr)
-            return 3
-        print(f"max_rel_err = {report.max_rel_err:.3e} "
-              f"(worst coordinate {report.worst_coordinate}, step {report.step:.3e})")
-        return 0 if report.max_rel_err <= GRAD_CHECK_TOL else 3
-
-    out_dir = args.out or cfg["out"] or f"runs/{cfg['problem']}_seed{cfg['seed']}"
-    try:
+            print(f"max_rel_err = {report.max_rel_err:.3e} "
+                  f"(worst coordinate {report.worst_coordinate}, step {report.step:.3e})")
+            return 0 if report.max_rel_err <= GRAD_CHECK_TOL else 3
+        out_dir = args.out or cfg["out"] or f"runs/{cfg['problem']}_seed{cfg['seed']}"
         log = run_experiment(cfg, out_dir)
+        print(f"stopped: {log.stop_reason} after {log.iterations} iterations, "
+              f"final energy {log.final_energy:.6e} -> {log.out_dir}")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    print(f"stopped: {log.stop_reason} after {log.iterations} iterations, "
-          f"final energy {log.final_energy:.6e} -> {log.out_dir}")
-    return 0
+    except (NumericsError, np.linalg.LinAlgError) as exc:
+        what = "grad-check failed" if args.command == "grad-check" else "solver error"
+        print(f"{what}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

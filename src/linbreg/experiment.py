@@ -38,7 +38,6 @@ from .problems.classify import (
     LOSS_KINDS,
     ClassifierObjective,
     init_weights,
-    nn_forward,
     one_hot,
     synthetic_digits,
 )
@@ -49,7 +48,6 @@ from .problems.pgm import write_pgm
 from .problems.quadratic import random_psd_quadratic
 from .regularizers import (
     L1,
-    TV_BUDGET,
     NuclearNorm,
     SeparableSum,
     SimplexIndicator,
@@ -71,30 +69,24 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 # metrics
 # ---------------------------------------------------------------------------
 
-def rank_of(A: np.ndarray, tol: float = 1e-8, singular_values=None) -> int:
-    """Numerical rank: number of singular values above tol * sigma_max.
+RANK_TOL = 1e-8
 
-    ``singular_values`` may give those of A, as ``np.linalg.svd(A,
-    compute_uv=False)`` returns them, when they are known.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    s = singular_values
-    if s is None:
-        s = np.linalg.svd(np.asarray(A, dtype=np.float64), compute_uv=False)
+
+def rank_of(s: np.ndarray) -> int:
+    """Numerical rank from singular values ``s`` in descending order, as
+    ``np.linalg.svd(A, compute_uv=False)`` returns them: the number above
+    RANK_TOL * s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
-def prediction_rate(As, D: np.ndarray, Y: np.ndarray, activation, output=None) -> float:
+def prediction_rate(output: np.ndarray, Y: np.ndarray) -> float:
     """Fraction of columns whose output argmax matches the label argmax.
 
-    ``output`` may give the network output on D when it is known.  Ties break
-    toward the lowest index in both arguments.
+    Ties break toward the lowest index in both arguments.
     """
-    out = nn_forward(As, D, activation) if output is None else output
-    return float(np.mean(np.argmax(out, axis=0) == np.argmax(Y, axis=0)))
+    return float(np.mean(np.argmax(output, axis=0) == np.argmax(Y, axis=0)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +154,8 @@ _KEYS = {
                   lambda v, c: _require(all(k >= 1 for k in v), "iterations of at least 1")),
     # the image's TV weight
     "alpha": (_parse_finite, {"deconv": 0.05, "mri": 1.0}, ("deconv", "mri"), _nonnegative),
-    "tv_tol": (_parse_finite, TV_BUDGET.tol, ("deconv", "mri"), _nonnegative),
-    "tv_maxit": (int, TV_BUDGET.maxit, ("deconv", "mri"), lambda v, c: PdhgConfig(maxit=v)),
+    "tv_tol": (_parse_finite, PdhgConfig.tol, ("deconv", "mri"), _nonnegative),
+    "tv_maxit": (int, PdhgConfig.maxit, ("deconv", "mri"), lambda v, c: PdhgConfig(maxit=v)),
     # deconv
     "height": (int, 32, ("deconv",), _at_least_1),
     "width": (int, 32, ("deconv",), _at_least_1),
@@ -393,11 +385,9 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
         # read from the state's facts: R(u) stored each layer's singular
         # values there, E the network output
         As = E.split(st.u)
-        out = {f"rank_A{j + 1}": rank_of(A, singular_values=Rj.singular_values(
-                   A, R.block_facts(st.facts, j)))
+        out = {f"rank_A{j + 1}": rank_of(Rj.singular_values(A, R.block_facts(st.facts, j)))
                for j, (Rj, A) in enumerate(zip(nuclear, As))}
-        out["prediction_rate"] = prediction_rate(As, D, Y, E.activation,
-                                                 output=st.facts.get("output"))
+        out["prediction_rate"] = prediction_rate(st.facts["output"], Y)
         return out
 
     def snapshot_fn(st, directory: Path):

@@ -21,10 +21,14 @@ SIGMA = TAU_INNER = 1.0 / np.sqrt(8.0)
 
 @dataclass(frozen=True)
 class PdhgConfig:
-    """Stopping parameters: relative gap tolerance and iteration budget."""
+    """Stopping parameters: relative gap tolerance and iteration budget.
 
-    tol: float = 1e-7
-    maxit: int = 2000
+    The defaults are the budget a run can afford: ``TotalVariation2D``'s
+    default and the CLI's ``tv_tol`` and ``tv_maxit`` defaults.
+    """
+
+    tol: float = 1e-8
+    maxit: int = 400
 
     def __post_init__(self):
         if self.maxit < 1:
@@ -42,7 +46,7 @@ class PdhgResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # NumericsError reports a non-finite run
-def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
+def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig,
                  dual0: np.ndarray | None = None) -> PdhgResult:
     """Solve the TV proximal subproblem to a relative primal-dual gap <= cfg.tol.
 
@@ -52,7 +56,7 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
         Prox argument; a 2-D image with at least 2 pixels.
     lam : float
         Total-variation weight (tau * alpha of the outer iteration).
-    cfg : PdhgConfig, optional
+    cfg : PdhgConfig
         Stopping parameters.
     dual0 : array, shape (2, H, W), optional
         Warm-start dual variable, typically the ``dual`` of the previous call.
@@ -81,8 +85,6 @@ def pdhg_tv_prox(z: np.ndarray, lam: float, cfg: PdhgConfig | None = None,
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if cfg is None:
-        cfg = PdhgConfig()
     z = check_image(np.asarray(z, dtype=np.float64))
     H, W = z.shape
 

@@ -5,6 +5,8 @@ The standard container for handwritten-digit image and label sets.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -13,34 +15,34 @@ IMAGES_MAGIC = 2051
 LABELS_MAGIC = 2049
 
 
+def _read_idx(path, magic: int, what: str, ndim: int) -> np.ndarray:
+    """Read an IDX file of ``ndim`` dimensions whose magic must be ``magic``."""
+    with open(path, "rb") as fh:
+        header_size = 4 + 4 * ndim
+        header = fh.read(header_size)
+        if len(header) < header_size:
+            raise ValueError(f"truncated IDX {what} header")
+        found, *shape = struct.unpack(">i" + "i" * ndim, header)
+        if found != magic:
+            raise ValueError(f"bad magic {found} for an IDX {what} file")
+        # math.prod of Python ints: three int32 sizes can overflow np.prod's
+        # int64.  A size the file cannot hold is truncation, not a read that
+        # large (which would raise OverflowError or MemoryError).
+        size = math.prod(shape)
+        if not 0 <= size <= os.fstat(fh.fileno()).st_size - header_size:
+            raise ValueError(f"truncated IDX {what} file")
+        data = np.frombuffer(fh.read(size), dtype=np.uint8)
+    return data.reshape(shape)
+
+
 def read_idx_images(path) -> np.ndarray:
     """Read an IDX image file -> uint8 array of shape (count, rows, cols)."""
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise ValueError("truncated IDX image header")
-        magic, count, rows, cols = struct.unpack(">iiii", header)
-        if magic != IMAGES_MAGIC:
-            raise ValueError(f"bad magic {magic} for an IDX image file")
-        data = np.frombuffer(fh.read(count * rows * cols), dtype=np.uint8)
-    if data.size != count * rows * cols:
-        raise ValueError("truncated IDX image file")
-    return data.reshape(count, rows, cols)
+    return _read_idx(path, IMAGES_MAGIC, "image", 3)
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Read an IDX label file -> uint8 array of shape (count,)."""
-    with open(path, "rb") as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise ValueError("truncated IDX label header")
-        magic, count = struct.unpack(">ii", header)
-        if magic != LABELS_MAGIC:
-            raise ValueError(f"bad magic {magic} for an IDX label file")
-        data = np.frombuffer(fh.read(count), dtype=np.uint8)
-    if data.size != count:
-        raise ValueError("truncated IDX label file")
-    return data
+    return _read_idx(path, LABELS_MAGIC, "label", 1)
 
 
 def load_digit_set(images_path, labels_path, limit: int | None = None):

@@ -33,9 +33,6 @@ FEAS_TOL = 1e-9
 
 INF = float("inf")
 
-# TotalVariation2D's default inner budget; the CLI's tv_tol and tv_maxit defaults
-TV_BUDGET = pdhg.PdhgConfig(tol=1e-8, maxit=400)
-
 
 # ---------------------------------------------------------------------------
 # Bregman-distance calculus
@@ -364,17 +361,18 @@ class TotalVariation2D(BregmanFunction):
     A call stops at relative gap ``config.tol`` or after ``config.maxit``
     inner iterations, whichever comes first, and returns the best iterate
     found; ``warm["tv"][1].gap`` is its gap.  The default ``config`` is
-    ``TV_BUDGET``, the budget a run can afford.  A prox argument for which no
-    inner gap is finite raises ``NumericsError``.  For a one-off accurate
-    solve, ``pdhg.pdhg_tv_prox`` raises ``NotConvergedError`` when it misses
-    its tolerance.  The inexactness need not vanish along an outer run: on
-    32x32 blind deconvolution every warm-started call exhausted the default
-    budget, the relative gap stalling at 4e-5 to 6e-5.  The stored q is then
-    only an epsilon-subgradient of R at the new iterate; no log reports the
-    gap.
+    ``PdhgConfig()``, the budget a run can afford.  A prox argument for which
+    no inner gap is finite raises ``NumericsError``.  For a one-off accurate
+    solve, call ``pdhg.pdhg_tv_prox`` with a config of its own: it raises
+    ``NotConvergedError`` when it misses that tolerance.  The inexactness
+    need not vanish along an outer run: on 32x32 blind deconvolution every
+    warm-started call exhausted the default budget, the relative gap
+    stalling at 4e-5 to 6e-5.  The stored q is then only an
+    epsilon-subgradient of R at the new iterate; no log reports the gap.
     """
 
-    def __init__(self, alpha: float, shape, config: pdhg.PdhgConfig = TV_BUDGET):
+    def __init__(self, alpha: float, shape,
+                 config: pdhg.PdhgConfig = pdhg.PdhgConfig()):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)

@@ -385,13 +385,16 @@ def run(E: SmoothObjective, R: BregmanFunction, st0: SolverState,
 
     reason = "max_iter"
     steps = iterate(E, R, st0, policy, extras_fn)
-    for _ in range(stop.max_iter):
-        st, rec = next(steps)
-        records.append(rec)
-        if stop.discrepancy_eta is not None and st.energy <= stop.discrepancy_eta:
-            reason = "discrepancy"
-            break
-        if stop.iterate_gap_tol is not None and rec.iterate_gap <= stop.iterate_gap_tol:
-            reason = "iterate_gap"
-            break
+    # an overflowing trial is a rejection, and a non-finite value an error the
+    # solver reports itself: neither needs numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(stop.max_iter):
+            st, rec = next(steps)
+            records.append(rec)
+            if stop.discrepancy_eta is not None and st.energy <= stop.discrepancy_eta:
+                reason = "discrepancy"
+                break
+            if stop.iterate_gap_tol is not None and rec.iterate_gap <= stop.iterate_gap_tol:
+                reason = "iterate_gap"
+                break
     return RunResult(st, records, reason)

@@ -22,18 +22,17 @@ class FdCheckReport:
     step: float
 
 
-def finite_difference_gradient_check(E, u, step: float | None = None,
-                                     n_coords: int = 10, seed: int = 0) -> FdCheckReport:
+def finite_difference_gradient_check(E, u, n_coords: int = 10, seed: int = 0) -> FdCheckReport:
     """Compare the gradient ``E.value_and_grad`` returns at u against central
     differences of the values it returns, on random coordinates.
 
-    The per-coordinate error is |fd - g| / (1 + |fd| + |g|), i.e. relative for
-    O(1) gradients and absolute near zero.
+    The step is 1e-6 * (1 + ||u||).  The per-coordinate error is
+    |fd - g| / (1 + |fd| + |g|), i.e. relative for O(1) gradients and
+    absolute near zero.
     """
     u = np.asarray(u, dtype=np.float64)
     flat = u.ravel()
-    if step is None:
-        step = 1e-6 * (1.0 + float(np.linalg.norm(flat)))
+    step = 1e-6 * (1.0 + float(np.linalg.norm(flat)))
     rng = np.random.default_rng(seed)
     n = flat.size
     coords = rng.choice(n, size=min(n_coords, n), replace=False)

@@ -45,6 +45,7 @@ from linbreg.problems import (
     make_mask,
     make_synthetic_deconv,
     make_synthetic_mri,
+    nn_forward,
     synthetic_digits,
 )
 from linbreg.problems.classify import one_hot
@@ -370,9 +371,9 @@ def test_criterion_09_classifier_rank_monotone_and_learning():
 
     def extras(st):
         As = E.split(st.u)
-        ranks1.append(rank_of(As[0]))
-        ranks2.append(rank_of(As[1]))
-        rates.append(prediction_rate(As, D, Y, E.activation))
+        ranks1.append(rank_of(np.linalg.svd(As[0], compute_uv=False)))
+        ranks2.append(rank_of(np.linalg.svd(As[1], compute_uv=False)))
+        rates.append(prediction_rate(nn_forward(As, D, E.activation), Y))
         return {}
 
     run(E, R, st0, BacktrackingPolicy(tau0=1e-3), StoppingRule(max_iter=200),

@@ -1,5 +1,6 @@
 import errno
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -130,29 +131,35 @@ OUT_OF_RANGE = [
     ("quadratic-alpha", "problem = quadratic\nn = 6\nalpha = 3\n", "alpha"),
 ]
 
-# data files that only run reads, each of which made it fail with a traceback:
-# missing, truncated, an image file given as labels, and mismatched counts
+# data files that fail to load when the instance is built: missing,
+# truncated, a header whose sizes no file could hold, an image file given as
+# labels, and mismatched counts
 DIGITS = "problem = classifier\nhidden = 2\ndata_images = {tmp}/%s\ndata_labels = {tmp}/%s\n"
 BAD_DATA_FILES = [
     ("missing-images", DIGITS % ("nope.idx", "labels.idx"), "data_images"),
     ("truncated-images", DIGITS % ("truncated.idx", "labels.idx"), "data_images"),
+    ("oversized-images", DIGITS % ("oversized.idx", "labels.idx"), "data_images"),
     ("images-as-labels", DIGITS % ("images.idx", "images.idx"), "data_labels"),
     ("count-mismatch", DIGITS % ("images.idx", "labels3.idx"), "data_labels"),
 ]
 
 
 def write_digit_files(directory):
-    """A valid 4-sample IDX image and label pair, a truncated image file and 3 labels."""
+    """A valid 4-sample IDX image and label pair, a truncated image file, an
+    image header claiming (2^31 - 1)^3 pixels, and 3 labels."""
     write_idx_images(directory / "images.idx", np.zeros((4, 28, 28), dtype=np.uint8))
     write_idx_labels(directory / "labels.idx", np.arange(4))
     write_idx_labels(directory / "labels3.idx", np.arange(3))
     (directory / "truncated.idx").write_bytes((directory / "images.idx").read_bytes()[:100])
+    (directory / "oversized.idx").write_bytes(
+        struct.pack(">iiii", 2051, *[2**31 - 1] * 3) + bytes(16))
 
 
 class TestOutOfRange:
-    @pytest.mark.parametrize("text, key", [(t, k) for _, t, k in OUT_OF_RANGE],
-                             ids=[i for i, _, _ in OUT_OF_RANGE])
+    @pytest.mark.parametrize("text, key", [(t, k) for _, t, k in OUT_OF_RANGE + BAD_DATA_FILES],
+                             ids=[i for i, _, _ in OUT_OF_RANGE + BAD_DATA_FILES])
     def test_check_exit_code_2(self, tmp_path, capsys, text, key):
+        write_digit_files(tmp_path)
         cfg = write_cfg(tmp_path, text.format(tmp=tmp_path))
         assert main(["check", cfg]) == 2
         err = capsys.readouterr().err
@@ -342,6 +349,22 @@ class TestSolverErrorExitCode:
         assert main(["run", cfg, "--out", str(out)]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "kept\n"
+
+
+class TestOverflowingTrial:
+    # tau0 = 1e305 overflows the first trial's energy, which backtracking
+    # rejects until tau underflows; the suite turns any numpy warning into an
+    # error, so a warning on the way fails the run
+    @pytest.mark.parametrize("text", [
+        "problem = deconv\nheight = 8\nwidth = 8\nalpha = 0\n",
+        "problem = classifier\ntrain_n = 20\nhidden = 3\n",
+        "problem = quadratic\nn = 6\n",
+    ], ids=["deconv", "classifier", "quadratic"])
+    def test_stagnation_is_the_one_report(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text + "tau0 = 1e305\nmax_iter = 3\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: backtracking stagnated") and err.count("\n") == 1
 
 
 class TestOutputErrors:

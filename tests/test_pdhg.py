@@ -9,6 +9,10 @@ from linbreg.tensor_ops import div2d, grad2d_forward, total_variation
 from helpers import tv_prox_dual_oracle
 
 
+# a one-off solve's budget, tighter than a run's PdhgConfig()
+STRICT = PdhgConfig(tol=1e-7, maxit=2000)
+
+
 def prox_objective(u, z, lam):
     return 0.5 * np.sum((u - z) ** 2) + lam * total_variation(u)
 
@@ -32,14 +36,14 @@ class TestTrivialInputs:
     def test_lambda_zero_returns_argument(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((4, 4))
-        res = pdhg_tv_prox(z, 0.0)
+        res = pdhg_tv_prox(z, 0.0, STRICT)
         assert np.array_equal(res.u, z)
         assert res.gap == 0.0
         assert res.iters == 1
 
     def test_constant_image_fixed(self):
         z = np.full((5, 5), 1.3)
-        res = pdhg_tv_prox(z, 2.0)
+        res = pdhg_tv_prox(z, 2.0, STRICT)
         assert np.abs(res.u - z).max() < 1e-12
         assert res.gap <= 1e-7
 
@@ -47,7 +51,7 @@ class TestTrivialInputs:
 class TestAgainstDualOracle:
     def test_step_signal_matches_oracle(self):
         z = np.array([[0.0, 0.0, 4.0, 4.0, 0.0, 0.0]])
-        res = pdhg_tv_prox(z, 1.0)
+        res = pdhg_tv_prox(z, 1.0, STRICT)
         oracle_u, oracle_gap = tv_prox_dual_oracle(z, 1.0, gap_tol=1e-12)
         assert oracle_gap <= 1e-12
         assert np.abs(res.u - oracle_u).max() < 1e-6
@@ -83,28 +87,28 @@ class TestInvariants:
     def test_primal_fixed_point_export_exact(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((6, 6))
-        res = pdhg_tv_prox(z, 0.3)
+        res = pdhg_tv_prox(z, 0.3, STRICT)
         assert np.array_equal(res.u, z + div2d(res.dual))
 
     def test_dual_pointwise_feasible(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((6, 6))
         lam = 0.4
-        res = pdhg_tv_prox(z, lam)
+        res = pdhg_tv_prox(z, lam, STRICT)
         mag = np.sqrt(res.dual[0] ** 2 + res.dual[1] ** 2)
         assert mag.max() <= lam * (1.0 + 1e-12)
 
     def test_mean_preserved(self):
         rng = np.random.default_rng(4)
         z = rng.standard_normal((7, 5))
-        res = pdhg_tv_prox(z, 0.6)
+        res = pdhg_tv_prox(z, 0.6, STRICT)
         assert abs(res.u.mean() - z.mean()) < 1e-10
 
     def test_warm_start_cuts_iterations(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal((8, 8))
-        cold = pdhg_tv_prox(z, 0.5)
-        warm = pdhg_tv_prox(z + 1e-6 * rng.standard_normal((8, 8)), 0.5, dual0=cold.dual)
+        cold = pdhg_tv_prox(z, 0.5, STRICT)
+        warm = pdhg_tv_prox(z + 1e-6 * rng.standard_normal((8, 8)), 0.5, STRICT, dual0=cold.dual)
         assert warm.iters < cold.iters
 
 
@@ -363,7 +367,7 @@ class TestAliasing:
     @pytest.mark.parametrize("z", [np.array([[1.0]]), np.array([1.0, 2.0]), np.zeros((2, 2, 2))])
     def test_degenerate_image_rejected(self, z):
         with pytest.raises(ValueError, match="at least 2 pixels"):
-            pdhg_tv_prox(z, 0.5)
+            pdhg_tv_prox(z, 0.5, STRICT)
 
     def test_one_pixel_image_rejected_through_regularizer(self):
         with pytest.raises(ValueError, match="at least 2 pixels"):
@@ -379,7 +383,7 @@ class TestNonFinite:
         z[1, 2] = bad
         z[2, 1] = -bad
         with pytest.raises(NumericsError, match="no finite gap"):
-            pdhg_tv_prox(z, 1e300, PdhgConfig(maxit=3))
+            pdhg_tv_prox(z, 1e300, PdhgConfig(tol=1e-7, maxit=3))
 
     @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (3, 8)], ids=shape_id)
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -393,7 +397,7 @@ class TestNonFinite:
 
     def test_regularizer_raises_numerics_error(self):
         # and the raising call leaves the previous call's warm record in place
-        R = TotalVariation2D(1.0, (4, 4), config=PdhgConfig(maxit=3))
+        R = TotalVariation2D(1.0, (4, 4), config=PdhgConfig(tol=1e-7, maxit=3))
         warm = {}
         R.prox(np.arange(16.0), 1.0, warm)
         last = warm["tv"]

@@ -183,7 +183,7 @@ class TestProxTvFunction:
     def test_lambda_zero_identity(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((4, 4))
-        res = pdhg_tv_prox(z, 0.0, PdhgConfig())
+        res = pdhg_tv_prox(z, 0.0, PdhgConfig(tol=1e-7, maxit=2000))
         assert np.array_equal(res.u, z)
         assert res.gap == 0.0
 
