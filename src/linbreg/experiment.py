@@ -369,6 +369,10 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
         if D.shape[1] < cfg["train_n"]:
             raise ConfigError(f"{cfg.source}: 'train_n' = {cfg['train_n']} but 'data_images' "
                               f"holds only {D.shape[1]} samples")
+        bad = np.flatnonzero(labels > 9)
+        if bad.size:
+            raise ConfigError(f"{cfg.source}: 'data_labels' holds label {labels[bad[0]]} at "
+                              f"index {bad[0]}; digit labels are 0-9")
     else:
         D, labels = synthetic_digits(cfg["seed"], cfg["train_n"])
     Y = one_hot(labels)

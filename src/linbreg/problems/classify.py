@@ -9,6 +9,8 @@ concatenated flattened weight matrices.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..exceptions import NumericsError
@@ -218,12 +220,94 @@ _GLYPHS = [
 ]
 
 
-_DIGIT_BLOCK = 64  # samples whose images synthetic_digits builds at once
+_DIGIT_BLOCK = 64  # samples whose draws and images synthetic_digits makes at once
+
+# Lemire's method, as numpy's Generator.integers runs it on a 32-bit half-word
+# x: the value is x * span >> 32, drawn again while x * span mod 2^32 is below
+# (2^32 - span) % span.  Per sample: the digit (span 10), then the row and the
+# column shift (span 5 each, offset -2).
+_SPANS = np.array([10, 5, 5], dtype=np.uint64)
+_REDRAW_BELOW = np.array([6, 1, 1], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+# rng.random() is (w >> 11) * 2^-53 of a raw word w, and the pixel noise is
+# 0.05 times it: a power of two scales without rounding, so one multiply by
+# the exact product gives the same bytes as the two
+_NOISE_SCALE = 0.05 * 2.0 ** -53
 
 
 def _glyph(digit: int) -> np.ndarray:
     rows = _GLYPHS[digit].split()
     return np.array([[float(ch) for ch in row] for row in rows])
+
+
+def _draw_per_sample(rng, ints, amps, noise):
+    """A block's draws by one Generator call each, in stream order.
+
+    Per sample: ``ints`` holds the digit and the row and column shift plus 2,
+    ``amps`` the amplitude and ``noise`` 0.05 times the pixel noise.
+    """
+    for j in range(len(amps)):
+        ints[j] = rng.integers(0, 10), rng.integers(-2, 3) + 2, rng.integers(-2, 3) + 2
+        amps[j] = rng.uniform(0.75, 1.0)
+        rng.random(out=noise[j])  # the bytes of rng.uniform(size=(side, side))
+    noise *= 0.05
+
+
+@functools.lru_cache(maxsize=4)
+def _stream_offsets(P: int):
+    """Where ``_draw_block`` finds the draws of the first ``_DIGIT_BLOCK``
+    samples at P pixels: each integer's word and the bit shift of its half
+    in that word, and each amplitude's word."""
+    j = np.arange(_DIGIT_BLOCK)
+    odd = j % 2
+    first = j // 2 * (2 * P + 5)  # first word of the sample's pair
+    start = first + odd * (P + 2)  # the amplitude is word start + 2
+    # half-word h is the low (h even) or high half of word h >> 1
+    half = np.stack([2 * first + 3 * odd, 2 * start + 1 + odd, 2 * start + 2 + odd], axis=1)
+    offsets = half >> 1, (32 * (half & 1)).astype(np.uint64), start + 2
+    for a in offsets:
+        a.flags.writeable = False
+    return offsets
+
+
+def _draw_block(rng, ints, amps, noise):
+    """``_draw_per_sample``'s values and stream, decoded from raw PCG64 words,
+    for at most ``_DIGIT_BLOCK`` samples.
+
+    ``integers`` takes a 32-bit half-word: the low half of a new word, whose
+    high half the bit generator keeps for the next such draw.  ``uniform`` and
+    ``random`` take one word each.  With P = side^2, a pair of samples is
+    2P + 5 words at fixed offsets, starting with no half-word kept::
+
+        [digit, row | col, digit'] [amp] [P noise] [row', col'] [amp'] [P noise']
+
+    An odd block ends after the first sample's noise.  Where Lemire's method
+    would draw again (odds about 2e-9 per sample), or a half-word is kept at
+    the start, the bit generator goes back to its state before the block and
+    ``_draw_per_sample`` draws the block.
+    """
+    k, P = noise.shape
+    stride = 2 * P + 5
+    pairs = k // 2
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    if not saved["has_uint32"]:
+        words = bitgen.random_raw(pairs * stride + k % 2 * (P + 3))
+        word, shift, amp = (a[:k] for a in _stream_offsets(P))
+        m = (words[word] >> shift & _LOW32) * _SPANS
+        if np.all(m & _LOW32 >= _REDRAW_BELOW):
+            ints[:] = m >> 32
+            words >>= 11
+            amps[:] = 0.75 + 0.25 * (words[amp] * 2.0 ** -53)
+            paired = words[:pairs * stride].reshape(pairs, stride)
+            into = noise[:2 * pairs].reshape(pairs, 2, P)
+            np.multiply(paired[:, 3:P + 3], _NOISE_SCALE, out=into[:, 0])
+            np.multiply(paired[:, P + 5:], _NOISE_SCALE, out=into[:, 1])
+            if k % 2:
+                np.multiply(words[pairs * stride + 3:], _NOISE_SCALE, out=noise[-1])
+            return
+        bitgen.state = saved
+    _draw_per_sample(rng, ints, amps, noise)
 
 
 def synthetic_digits(seed: int, n: int, side: int = 28):
@@ -233,7 +317,11 @@ def synthetic_digits(seed: int, n: int, side: int = 28):
     scaling and pixel noise.  The output is a pure function of the arguments,
     and the order of the RNG draws is part of that contract: per sample the
     digit, the row shift, the column shift, the amplitude, then side x side
-    noise.  Every synthetic classifier run depends on this stream.
+    noise, each by its own Generator call (``_draw_per_sample``).  Every
+    synthetic classifier run depends on this stream.  Blocks of samples decode
+    the same stream from raw words (``_draw_block``, which also states the
+    word layout) and fall back to the per-sample calls where Lemire's method
+    would draw again.
     """
     rng = np.random.default_rng(seed)
     scale = side // 7
@@ -247,24 +335,20 @@ def synthetic_digits(seed: int, n: int, side: int = 28):
     rolled = glyphs[:, :, roll_idx]
     D = np.zeros((side * side, n))
     labels = np.zeros(n, dtype=np.int64)
-    # The draws are per sample, in stream order; the image arithmetic runs once
-    # per block, which bounds its temporaries to a few block x side^2 arrays.
+    # the image arithmetic runs once per block, which bounds its temporaries
+    # to a few block x side^2 arrays
     held = min(n, _DIGIT_BLOCK)
-    shifts = np.empty((held, 2), dtype=np.int64)
+    ints = np.empty((held, 3), dtype=np.int64)
     amps = np.empty(held)
-    noise = np.empty((held, side, side))
+    noise = np.empty((held, side * side))
     for start in range(0, n, _DIGIT_BLOCK):
         k = min(_DIGIT_BLOCK, n - start)
-        for j in range(k):
-            labels[start + j] = rng.integers(0, 10)
-            shifts[j] = rng.integers(-2, 3), rng.integers(-2, 3)
-            amps[j] = rng.uniform(0.75, 1.0)
-            rng.random(out=noise[j])  # the bytes of rng.uniform(size=(side, side))
-        rows = roll_idx[shifts[:k, 0] + 2]
-        imgs = rolled[labels[start:start + k, None], rows, shifts[:k, 1, None] + 2]
+        _draw_block(rng, ints[:k], amps[:k], noise[:k])
+        digit, row, col = ints[:k].T
+        labels[start:start + k] = digit
+        imgs = rolled[digit[:, None], roll_idx[row], col[:, None]]
         imgs *= amps[:k, None, None]
-        noise[:k] *= 0.05
-        imgs += noise[:k]
+        imgs += noise[:k].reshape(k, side, side)
         np.clip(imgs, 0.0, 1.0, out=imgs)
         D[:, start:start + k] = imgs.reshape(k, side * side).T
     return D, labels

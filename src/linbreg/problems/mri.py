@@ -11,6 +11,7 @@ those real coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,12 @@ class ParallelMriObjective(StackedObjective):
 
     def value_and_grad(self, x, facts=None):
         """E and its real-pair gradient: the complex gradient g of each variable
-        is packed as (dE/dRe, dE/dIm) = (Re g, Im g)."""
+        is packed as (dE/dRe, dE/dIm) = (Re g, Im g).
+
+        A finite x whose products overflow can leave inf - inf = NaN in a
+        residual; E is then +inf, which backtracking rejects like any other
+        overflow.  At a non-finite x a NaN E stays NaN.
+        """
         u, *bs = self.split(x)
         mask, eps = self.mask, self.eps
         value = 0.0
@@ -124,6 +130,8 @@ class ParallelMriObjective(StackedObjective):
             grad_bs.append(np.conj(u) * back + eps * b)
         value += 0.5 * eps * (float(np.sum(np.abs(u) ** 2))
                               + sum(float(np.sum(np.abs(b) ** 2)) for b in bs))
+        if math.isnan(value) and np.isfinite(x).all():
+            value = math.inf
         return value, self.pack([grad_u, *grad_bs])
 
 

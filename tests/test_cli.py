@@ -133,7 +133,7 @@ OUT_OF_RANGE = [
 
 # data files that fail to load when the instance is built: missing,
 # truncated, a header whose sizes no file could hold, an image file given as
-# labels, and mismatched counts
+# labels, mismatched counts, and a label that is no digit
 DIGITS = "problem = classifier\nhidden = 2\ndata_images = {tmp}/%s\ndata_labels = {tmp}/%s\n"
 BAD_DATA_FILES = [
     ("missing-images", DIGITS % ("nope.idx", "labels.idx"), "data_images"),
@@ -141,15 +141,19 @@ BAD_DATA_FILES = [
     ("oversized-images", DIGITS % ("oversized.idx", "labels.idx"), "data_images"),
     ("images-as-labels", DIGITS % ("images.idx", "images.idx"), "data_labels"),
     ("count-mismatch", DIGITS % ("images.idx", "labels3.idx"), "data_labels"),
+    ("label-out-of-range", DIGITS % ("images.idx", "labels12.idx") + "train_n = 4\n",
+     "data_labels"),
 ]
 
 
 def write_digit_files(directory):
     """A valid 4-sample IDX image and label pair, a truncated image file, an
-    image header claiming (2^31 - 1)^3 pixels, and 3 labels."""
+    image header claiming (2^31 - 1)^3 pixels, 3 labels, and 4 labels of
+    which the third is 12."""
     write_idx_images(directory / "images.idx", np.zeros((4, 28, 28), dtype=np.uint8))
     write_idx_labels(directory / "labels.idx", np.arange(4))
     write_idx_labels(directory / "labels3.idx", np.arange(3))
+    write_idx_labels(directory / "labels12.idx", [0, 1, 12, 3])
     (directory / "truncated.idx").write_bytes((directory / "images.idx").read_bytes()[:100])
     (directory / "oversized.idx").write_bytes(
         struct.pack(">iiii", 2051, *[2**31 - 1] * 3) + bytes(16))
@@ -359,7 +363,9 @@ class TestOverflowingTrial:
         "problem = deconv\nheight = 8\nwidth = 8\nalpha = 0\n",
         "problem = classifier\ntrain_n = 20\nhidden = 3\n",
         "problem = quadratic\nn = 6\n",
-    ], ids=["deconv", "classifier", "quadratic"])
+        # the overflow of u * b_j inside the DFT makes inf - inf residuals
+        "problem = mri\nn = 8\nalpha = 0\n",
+    ], ids=["deconv", "classifier", "quadratic", "mri"])
     def test_stagnation_is_the_one_report(self, tmp_path, capsys, text):
         cfg = write_cfg(tmp_path, text + "tau0 = 1e305\nmax_iter = 3\n")
         assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 3

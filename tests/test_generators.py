@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from linbreg.problems import synthetic_digits
+from linbreg.problems import classify, synthetic_digits
 from linbreg.problems.classify import _DIGIT_BLOCK as BLOCK, _glyph
 from linbreg.problems.deconv import motion_kernel
 from linbreg.problems.mri import spiral_mask
@@ -132,3 +132,80 @@ class TestLoopReferences:
     @pytest.mark.parametrize("args", [(1,), (7,), (40,), (20, 2.5, 333), (10, 4.0, 1)], ids=str)
     def test_spiral_mask(self, args):
         assert digest(spiral_mask(*args)) == digest(spiral_loop(*args))
+
+
+# PCG64's LCG multiplier: each draw steps state <- state * MULT + inc (mod
+# 2^128), then outputs the xor of the state's halves rotated right by its top
+# six bits
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_at(word, out, seed=0):
+    """A PCG64 generator whose ``word``-th raw output (from 0) is ``out``."""
+    inc = np.random.PCG64(seed).state["state"]["inc"]
+    # a post-step state with rotation 0 outputs hi ^ lo
+    lo = 0x0123456789ABCDEF
+    state = (lo ^ out) << 64 | lo
+    inverse = pow(PCG64_MULT, -1, 2**128)
+    for _ in range(word + 1):
+        state = (state - inc) * inverse % 2**128
+    bitgen = np.random.PCG64(seed)
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+class TestRawWordDraws:
+    """``_draw_block`` against ``_draw_per_sample``: the same values, and the
+    bit generator left at the same word."""
+
+    def draws(self, draw, rng, k, side):
+        ints = np.empty((k, 3), dtype=np.int64)
+        amps = np.empty(k)
+        noise = np.empty((k, side * side))
+        draw(rng, ints, amps, noise)
+        return digest(ints, amps, noise), int(rng.bit_generator.random_raw())
+
+    def spy(self, monkeypatch):
+        """The list of the blocks ``_draw_per_sample`` draws from here on."""
+        calls = []
+        per_sample = classify._draw_per_sample
+
+        def recorded(rng, ints, amps, noise):
+            calls.append(len(amps))
+            per_sample(rng, ints, amps, noise)
+
+        monkeypatch.setattr(classify, "_draw_per_sample", recorded)
+        return calls
+
+    @pytest.mark.parametrize("k, side", [(1, 28), (2, 28), (7, 5), (BLOCK, 3), (3, 0)], ids=str)
+    def test_decoded_block(self, monkeypatch, k, side):
+        calls = self.spy(monkeypatch)
+        decoded = self.draws(classify._draw_block, np.random.default_rng(k + side), k, side)
+        assert not calls
+        assert decoded == self.draws(classify._draw_per_sample,
+                                     np.random.default_rng(k + side), k, side)
+
+    # At side 3 a pair of samples is 23 words.  A zero half-word is below
+    # Lemire's redraw threshold for the digit and for each shift: sample 0's
+    # digit (word 0, low), sample 1's digit (word 1, high) and row shift (word
+    # 12, low), sample 2's row shift (word 23, high), sample 3's column shift
+    # (word 35, high).
+    @pytest.mark.parametrize("word, high", [(0, 0), (1, 1), (12, 0), (23, 1), (35, 1)])
+    def test_redraw_replays_the_block_per_sample(self, monkeypatch, word, high):
+        out = 0xBEEF << (32 - 32 * high)  # zero in the chosen half
+        assert int(pcg64_at(word, out).bit_generator.random_raw(word + 1)[-1]) == out
+        calls = self.spy(monkeypatch)
+        decoded = self.draws(classify._draw_block, pcg64_at(word, out), 4, 3)
+        assert calls == [4]
+        assert decoded == self.draws(classify._draw_per_sample, pcg64_at(word, out), 4, 3)
+
+    def test_a_kept_half_word_draws_per_sample(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        rng.integers(0, 10)
+        calls = self.spy(monkeypatch)
+        decoded = self.draws(classify._draw_block, rng, 2, 4)
+        assert calls == [2]
+        expected = np.random.default_rng(4)
+        expected.integers(0, 10)
+        assert decoded == self.draws(classify._draw_per_sample, expected, 2, 4)
