@@ -158,7 +158,10 @@ _KEYS = {
     "tv_maxit": (int, PdhgConfig.maxit, ("deconv", "mri"), lambda v, c: PdhgConfig(maxit=v)),
     # deconv
     "height": (int, 32, ("deconv",), _at_least_1),
-    "width": (int, 32, ("deconv",), _at_least_1),
+    # TV and the tv_value column take an image of at least 2 pixels
+    "width": (int, 32, ("deconv",),
+              lambda v, c: _require(v >= 1 and v * c["height"] >= 2,
+                                    "at least 1, and at least 2 when height is 1")),
     "kernel_h": (int, 3, ("deconv",),
                  lambda v, c: _require(1 <= v <= c["height"], "between 1 and height")),
     "kernel_w": (int, 5, ("deconv",),
@@ -254,7 +257,9 @@ def parse_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} "
                           f"at offset {exc.start}") from exc
-    return parse_config_text(text, source=str(path))
+    # a leading byte-order mark is no part of the first key; decoding as
+    # utf-8-sig would count error offsets from after it
+    return parse_config_text(text.removeprefix("\ufeff"), source=str(path))
 
 
 def parse_config_text(text: str, source: str = "<memory>") -> ExperimentConfig:
@@ -305,11 +310,11 @@ class _Built:
     snapshot_fn: object
 
 
-def _image_part(cfg: ExperimentConfig, shape):
+def _image_part(cfg: ExperimentConfig):
     """TV with weight ``alpha`` on an image block, or Zero when alpha is 0."""
     if cfg["alpha"] > 0:
         tv_cfg = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
-        return TotalVariation2D(cfg["alpha"], shape, config=tv_cfg)
+        return TotalVariation2D(cfg["alpha"], config=tv_cfg)
     return Zero()
 
 
@@ -326,18 +331,17 @@ def _image_hooks(image_of):
 
 
 def _build_deconv(cfg: ExperimentConfig) -> _Built:
-    H, W = cfg["height"], cfg["width"]
-    prob = make_synthetic_deconv(cfg["seed"], H, W,
+    prob = make_synthetic_deconv(cfg["seed"], cfg["height"], cfg["width"],
                                  kernel_shape=(cfg["kernel_h"], cfg["kernel_w"]),
                                  sigma=cfg["sigma"])
     E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-    n_image, n_kernel = E.sizes
+    image, kernel = E.shapes
     R = SeparableSum([
-        (_image_part(cfg, (H, W)), n_image),
-        (SimplexIndicator(), n_kernel, cfg["kernel_memory"]),
+        (_image_part(cfg), image),
+        (SimplexIndicator(), kernel, cfg["kernel_memory"]),
     ])
-    constraint = SeparableSum([(Zero(), n_image), (SimplexIndicator(), n_kernel)])
-    u0 = E.pack([np.zeros((H, W)), np.full(prob.kernel_shape, 1.0 / n_kernel)])
+    constraint = SeparableSum([(Zero(), image), (SimplexIndicator(), kernel)])
+    u0 = E.pack([np.zeros(image), np.full(kernel, 1.0 / E.sizes[1])])
     return _Built(E, R, constraint, u0, *_image_hooks(lambda st: E.split(st.u)[0]))
 
 
@@ -349,10 +353,10 @@ def _build_mri(cfg: ExperimentConfig) -> _Built:
     E = ParallelMriObjective(prob.data, prob.mask, prob.eps)
     w = np.full((N, N), cfg["w_high"])
     w[:2, :2] = cfg["w_low"]
-    tv = _image_part(cfg, (N, N))
-    dct = WeightedL1Dct(cfg["alpha_b"], w, (N, N))
+    tv = _image_part(cfg)
+    dct = WeightedL1Dct(cfg["alpha_b"], w)
     # real and imaginary parts of u, then of each coil map
-    R = SeparableSum(list(zip([tv] * 2 + [dct] * (2 * cfg["coils"]), E.sizes)))
+    R = SeparableSum(list(zip([tv] * 2 + [dct] * (2 * cfg["coils"]), E.shapes)))
     u0 = E.pack([np.full((N, N), 2.0 + 0.0j)]
                 + [np.ones((N, N), dtype=np.complex128) for _ in range(cfg["coils"])])
     return _Built(E, R, Zero(), u0, *_image_hooks(lambda st: np.abs(E.split(st.u)[0])))
@@ -380,8 +384,8 @@ def _build_classifier(cfg: ExperimentConfig) -> _Built:
     E = ClassifierObjective(D, Y, shapes, activation_kind=cfg["activation"], beta=cfg["beta"],
                             smooth_c=cfg["smooth_c"], loss_kind=cfg["loss"],
                             loss_eps=cfg["loss_eps"], eps=cfg["epsilon"])
-    nuclear = [NuclearNorm(a, shape) for shape, a in zip(shapes, [cfg["alpha1"], cfg["alpha2"]])]
-    R = SeparableSum(list(zip(nuclear, E.sizes)))
+    nuclear = [NuclearNorm(cfg["alpha1"]), NuclearNorm(cfg["alpha2"])]
+    R = SeparableSum(list(zip(nuclear, E.shapes)))
     u0 = E.pack(init_weights(shapes, cfg["seed"]))
     extra_cols = [f"rank_A{j + 1}" for j in range(len(shapes))] + ["prediction_rate"]
 

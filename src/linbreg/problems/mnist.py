@@ -54,6 +54,8 @@ def load_digit_set(images_path, labels_path, limit: int | None = None):
     labels = read_idx_labels(labels_path)
     if imgs.shape[0] != labels.shape[0]:
         raise ValueError("image and label counts differ")
+    if imgs.shape[1] * imgs.shape[2] == 0:
+        raise ValueError(f"the images have no pixels ({imgs.shape[1]} x {imgs.shape[2]})")
     if limit is not None:
         imgs = imgs[:limit]
         labels = labels[:limit]

@@ -13,8 +13,11 @@ solver state owns both (see ``SolverState``).  A regularizer may store what it
 computed there, under a key that names it completely, and read it back on a
 later call.  Without them every call starts cold.
 
-Instances are immutable after construction and operate on arrays of any shape
-with the expected number of entries; outputs match the input's shape.
+Instances are immutable after construction and act on the array they are
+given, of any shape unless the function names one (a 2-D image for TV, a
+matrix for the nuclear norm, an array of its weights' shape for the DCT
+l1-norm); outputs have the input's shape.  No function stores a shape: a
+stacked variable's blocks get theirs from :class:`SeparableSum`.
 """
 
 from __future__ import annotations
@@ -164,40 +167,34 @@ class L1(BregmanFunction):
 
 
 class WeightedL1Dct(BregmanFunction):
-    """R(u) = alpha * sum_l w_l |(C u)_l| with orthonormal 2-D DCT coefficients."""
+    """R(u) = alpha * sum_l w_l |(C u)_l| with orthonormal 2-D DCT coefficients.
 
-    def __init__(self, alpha: float, weights, shape):
+    u is an image of the weights' shape.
+    """
+
+    def __init__(self, alpha: float, weights):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
-        self.shape = tuple(shape)
-        w = np.asarray(weights, dtype=np.float64).reshape(self.shape)
+        w = np.asarray(weights, dtype=np.float64)
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         self.weights = w
 
-    def _img(self, u):
-        return np.asarray(u, dtype=np.float64).reshape(self.shape)
-
     def value(self, u, facts=None):
-        return self.alpha * float(np.sum(self.weights * np.abs(dct2(self._img(u)))))
+        return self.alpha * float(np.sum(self.weights * np.abs(dct2(u))))
 
     def prox(self, z, tau, warm=None):
         """Exact because the DCT is orthonormal: shrink the coefficients, transform back."""
-        z = np.asarray(z, dtype=np.float64)
-        coef = dct2(self._img(z))
+        coef = dct2(z)
         lam = tau * self.alpha
-        out = idct2(np.sign(coef) * np.maximum(np.abs(coef) - lam * self.weights, 0.0))
-        return out.reshape(z.shape)
+        return idct2(np.sign(coef) * np.maximum(np.abs(coef) - lam * self.weights, 0.0))
 
     def initial_subgradient(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        coef = dct2(self._img(u))
-        g = idct2(self.alpha * self.weights * np.sign(coef))
-        return g.reshape(u.shape)
+        return idct2(self.alpha * self.weights * np.sign(dct2(u)))
 
     def conjugate_value(self, q):
-        coef = np.abs(dct2(self._img(q)))
+        coef = np.abs(dct2(q))
         bound = self.alpha * self.weights + FEAS_TOL * (1.0 + self.alpha * self.weights)
         return 0.0 if np.all(coef <= bound) else INF
 
@@ -291,10 +288,10 @@ def spectral_norm_at_most(M: np.ndarray, bound: float) -> bool:
 
 
 class NuclearNorm(BregmanFunction):
-    """R(A) = alpha * sum of singular values, on matrices of a fixed shape.
+    """R(A) = alpha * sum of singular values of the matrix A.
 
     ``value(u, facts)`` stores the singular values of u in ``facts`` under
-    ``("singular_values", shape)``; ``singular_values`` reads them back.  The
+    ``"singular_values"``; ``singular_values`` reads them back.  The
     conjugate is the indicator of {s_max(q) <= alpha + FEAS_TOL (1 + alpha)},
     decided by ``spectral_norm_at_most`` from the top eigenvalue t of the
     smaller Gram matrix G of q.  Where t lies within the rounding-error bound
@@ -302,25 +299,19 @@ class NuclearNorm(BregmanFunction):
     every decision is the one the SVD alone would make.
     """
 
-    def __init__(self, alpha: float, shape):
+    def __init__(self, alpha: float):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
-        self.shape = tuple(shape)
-
-    def _mat(self, u):
-        return np.asarray(u, dtype=np.float64).reshape(self.shape)
 
     def singular_values(self, u, facts=None) -> np.ndarray:
-        """``np.linalg.svd(u as a matrix, compute_uv=False)``, taken from and
-        stored in ``facts`` when given."""
-        if facts is None:
-            return np.linalg.svd(self._mat(u), compute_uv=False)
-        key = ("singular_values", self.shape)
-        s = facts.get(key)
-        if s is None:
-            s = facts[key] = np.linalg.svd(self._mat(u), compute_uv=False)
-        return s
+        """``np.linalg.svd(u, compute_uv=False)``, taken from and stored in
+        ``facts`` when given."""
+        facts = {} if facts is None else facts
+        if "singular_values" not in facts:
+            facts["singular_values"] = np.linalg.svd(np.asarray(u, dtype=np.float64),
+                                                     compute_uv=False)
+        return facts["singular_values"]
 
     def value(self, u, facts=None):
         return self.alpha * float(np.sum(self.singular_values(u, facts)))
@@ -330,25 +321,22 @@ class NuclearNorm(BregmanFunction):
         lam = tau * self.alpha
         if lam < 0:
             raise ValueError("threshold must be nonnegative")
-        z = np.asarray(z, dtype=np.float64)
-        u, s, vt = np.linalg.svd(self._mat(z), full_matrices=False)
-        return ((u * np.maximum(s - lam, 0.0)) @ vt).reshape(z.shape)
+        u, s, vt = np.linalg.svd(np.asarray(z, dtype=np.float64), full_matrices=False)
+        return (u * np.maximum(s - lam, 0.0)) @ vt
 
     def initial_subgradient(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        uu, s, vt = np.linalg.svd(self._mat(u), full_matrices=False)
+        uu, s, vt = np.linalg.svd(np.asarray(u, dtype=np.float64), full_matrices=False)
         cutoff = 1e-12 * max(float(s[0]) if s.size else 0.0, 1e-300)
         keep = s > cutoff
-        g = self.alpha * (uu[:, keep] @ vt[keep])
-        return g.reshape(u.shape)
+        return self.alpha * (uu[:, keep] @ vt[keep])
 
     def conjugate_value(self, q):
         bound = self.alpha + FEAS_TOL * (1.0 + self.alpha)
-        return 0.0 if spectral_norm_at_most(self._mat(q), bound) else INF
+        return 0.0 if spectral_norm_at_most(np.asarray(q, dtype=np.float64), bound) else INF
 
 
 class TotalVariation2D(BregmanFunction):
-    """R(u) = alpha * TV(u) on images of a fixed shape; prox via the PDHG inner solver.
+    """R(u) = alpha * TV(u) of a 2-D image u; prox via the PDHG inner solver.
 
     No closed-form conjugate exists in this discretisation, so subgradient
     certification for TV relies on prox-construction optimality only.
@@ -371,22 +359,16 @@ class TotalVariation2D(BregmanFunction):
     epsilon-subgradient of R at the new iterate; no log reports the gap.
     """
 
-    def __init__(self, alpha: float, shape,
-                 config: pdhg.PdhgConfig = pdhg.PdhgConfig()):
+    def __init__(self, alpha: float, config: pdhg.PdhgConfig = pdhg.PdhgConfig()):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
         self.alpha = float(alpha)
-        self.shape = tuple(shape)
         self.config = config
 
-    def _img(self, u):
-        return np.asarray(u, dtype=np.float64).reshape(self.shape)
-
     def value(self, u, facts=None):
-        return self.alpha * total_variation(self._img(u))
+        return self.alpha * total_variation(u)
 
     def prox(self, z, tau, warm=None):
-        z = np.asarray(z, dtype=np.float64)
         lam = tau * self.alpha
         last_lam, last = (warm or {}).get("tv", (None, None))
         dual0 = None if last is None else last.dual
@@ -395,27 +377,29 @@ class TotalVariation2D(BregmanFunction):
         if last_lam and last_lam > 0 and lam > 0:
             dual0 = dual0 * (lam / last_lam)
         try:
-            res = pdhg.pdhg_tv_prox(self._img(z), lam, self.config, dual0=dual0)
+            res = pdhg.pdhg_tv_prox(z, lam, self.config, dual0=dual0)
         except NotConvergedError as err:
             res = err.result
         if warm is not None:
             warm["tv"] = (lam, res)
-        return res.u.reshape(z.shape)
+        return res.u
 
     def initial_subgradient(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        g = grad2d_forward(self._img(u))
+        g = grad2d_forward(u)
         mag = np.sqrt(g[0] ** 2 + g[1] ** 2)
         field = np.zeros_like(g)
         np.divide(g, mag[None, :, :], out=field, where=mag[None, :, :] > 0)
-        return (-self.alpha * div2d(field)).reshape(u.shape)
+        return -self.alpha * div2d(field)
 
 
 class SeparableSum(BregmanFunction):
     """Block-separable sum R(u) = sum_i R_i(u_i) over consecutive blocks u_i of u.
 
-    A part is ``(R_i, size)`` or ``(R_i, size, memory)``; the blocks follow
-    each other in list order.  With ``memory=False`` the solver zeroes the
+    A part is ``(R_i, shape)`` or ``(R_i, shape, memory)``; an int shape is a
+    1-D one, as numpy reads it.  The blocks follow each other in list order,
+    block i taking prod(shape) entries of the flat u, and R_i receives the
+    view ``u[a:b].reshape(shape)``.  A stacked objective's ``shapes`` are the
+    shapes of its blocks.  With ``memory=False`` the solver zeroes the
     block's dual variable after every step, so the block takes
     proximal-gradient steps while the others keep their Bregman memory.  Meant
     for indicators, where 0 is a subgradient at every feasible point and the
@@ -427,10 +411,12 @@ class SeparableSum(BregmanFunction):
         self.parts = []
         self.size = 0
         mask = []
-        for R, size, *memory in parts:
+        for R, shape, *memory in parts:
+            shape = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+            size = math.prod(shape)
             if size < 1:
                 raise ValueError(f"block size must be at least 1, got {size}")
-            self.parts.append((R, self.size, self.size + size))
+            self.parts.append((R, self.size, self.size + size, shape))
             self.size += size
             if memory and not memory[0]:
                 mask.append(np.zeros(size))
@@ -441,49 +427,47 @@ class SeparableSum(BregmanFunction):
 
     @property
     def has_conjugate(self) -> bool:
-        return all(R.has_conjugate for R, _, _ in self.parts)
+        return all(R.has_conjugate for R, *_ in self.parts)
 
-    def _flat(self, u):
+    def _blocks(self, u, facts=None):
+        """(R_i, a, b, u_i, facts of u_i) per part, u_i a view of u in its shape."""
         u = np.ravel(np.asarray(u, dtype=np.float64))
         if u.size != self.size:
             raise ValueError(f"expected {self.size} entries, got {u.size}")
-        return u
+        for i, (R, a, b, shape) in enumerate(self.parts):
+            yield R, a, b, u[a:b].reshape(shape), self.block_facts(facts, i)
 
     def block_facts(self, facts, i):
         """The facts (or warm dict) of block i inside those of u, or None without."""
-        return None if facts is None else facts.setdefault(self.parts[i][1:], {})
+        return None if facts is None else facts.setdefault(self.parts[i][1:3], {})
 
     def value(self, u, facts=None):
-        u = self._flat(u)
         total = 0.0
-        for i, (R, a, b) in enumerate(self.parts):
-            v = R.value(u[a:b], self.block_facts(facts, i))
+        for R, _, _, ui, fi in self._blocks(u, facts):
+            v = R.value(ui, fi)
             if v == INF:
                 return INF
             total += v
         return total
 
     def prox(self, z, tau, warm=None):
-        zf = self._flat(z)
-        out = np.empty_like(zf)
-        for i, (R, a, b) in enumerate(self.parts):
-            out[a:b] = np.ravel(R.prox(zf[a:b], tau, self.block_facts(warm, i)))
-        return out.reshape(np.asarray(z).shape)
+        out = np.empty(self.size)
+        for R, a, b, zi, wi in self._blocks(z, warm):
+            out[a:b] = np.ravel(R.prox(zi, tau, wi))
+        return out.reshape(np.shape(z))
 
     def initial_subgradient(self, u):
-        uf = self._flat(u)
-        out = np.empty_like(uf)
-        for R, a, b in self.parts:
-            out[a:b] = np.ravel(R.initial_subgradient(uf[a:b]))
-        return out.reshape(np.asarray(u).shape)
+        out = np.empty(self.size)
+        for R, a, b, ui, _ in self._blocks(u):
+            out[a:b] = np.ravel(R.initial_subgradient(ui))
+        return out.reshape(np.shape(u))
 
     def conjugate_value(self, q):
         if not self.has_conjugate:
             raise UnsupportedOperation("a block has no conjugate evaluation")
-        qf = self._flat(q)
         total = 0.0
-        for R, a, b in self.parts:
-            v = R.conjugate_value(qf[a:b])
+        for R, _, _, qi, _ in self._blocks(q):
+            v = R.conjugate_value(qi)
             if not np.isfinite(v):
                 return INF
             total += v

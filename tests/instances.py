@@ -7,6 +7,7 @@ from linbreg import (
     L1,
     BacktrackingPolicy,
     NuclearNorm,
+    SeparableSum,
     SimplexIndicator,
     StoppingRule,
     initial_state,
@@ -27,7 +28,7 @@ def make_instance(kind: str, seed: int = 0):
         u0 = np.full(9, 1.0 / 9.0)
     elif kind == "nuclear":
         E = random_psd_quadratic(seed, 12, L=2.0)
-        R = NuclearNorm(0.4, (4, 3))
+        R = SeparableSum([(NuclearNorm(0.4), (4, 3))])
         u0 = np.zeros(12)
     else:
         raise ValueError(kind)

@@ -202,7 +202,7 @@ def test_criterion_06_prox_oracles_closed_forms():
 
         # weighted l1 in transform coefficients
         w = rng.uniform(0.0, 2.0, size=(3, 3))
-        Rw = WeightedL1Dct(alpha, w, (3, 3))
+        Rw = SeparableSum([(WeightedL1Dct(alpha, w), (3, 3))])
         zw = rng.standard_normal(9)
         # per-coefficient search with the true weights, mapped back
         zc = dct2(zw.reshape(3, 3))
@@ -225,7 +225,7 @@ def test_criterion_06_prox_oracles_closed_forms():
         assert gap <= 1e-8
 
         # nuclear
-        Rn = NuclearNorm(alpha, (4, 3))
+        Rn = SeparableSum([(NuclearNorm(alpha), (4, 3))])
         zn = rng.standard_normal(12)
 
         def nuc_subgrad(u, a=alpha):
@@ -240,14 +240,13 @@ def test_criterion_06_prox_oracles_closed_forms():
 def test_criterion_06_prox_oracle_tv():
     # 1xN step signal
     z1 = np.array([[0.0, 0.0, 4.0, 4.0, 0.0, 0.0]])
-    R1 = TotalVariation2D(1.0, (1, 6), config=PdhgConfig(tol=1e-10, maxit=100000))
+    R1 = TotalVariation2D(1.0, config=PdhgConfig(tol=1e-10, maxit=100000))
     warm = {}
-    R1.prox(z1.ravel(), 1.0, warm)
+    R1.prox(z1, 1.0, warm)
     assert warm["tv"][1].gap <= R1.config.tol
     u_oracle, og = tv_prox_dual_oracle(z1, 1.0, gap_tol=1e-12)
     assert og <= 1e-12
-    gap = prox_oracle_check(R1, z1.ravel(), 1.0, iters=0,
-                            extra_candidates=[u_oracle.ravel()])
+    gap = prox_oracle_check(R1, z1, 1.0, iters=0, extra_candidates=[u_oracle])
     assert gap <= 1e-6
 
     # 8x8 random images
@@ -255,14 +254,13 @@ def test_criterion_06_prox_oracle_tv():
     for _ in range(2):
         z = rng.standard_normal((8, 8))
         lam = float(rng.uniform(0.2, 0.35))
-        R = TotalVariation2D(lam, (8, 8), config=PdhgConfig(tol=1e-9, maxit=200000))
+        R = TotalVariation2D(lam, config=PdhgConfig(tol=1e-9, maxit=200000))
         warm = {}
-        R.prox(z.ravel(), 1.0, warm)
+        R.prox(z, 1.0, warm)
         assert warm["tv"][1].gap <= R.config.tol
         u_oracle, og = tv_prox_dual_oracle(z, lam, gap_tol=1e-12)
         assert og <= 1e-12
-        gap = prox_oracle_check(R, z.ravel(), 1.0, iters=0,
-                                extra_candidates=[u_oracle.ravel()])
+        gap = prox_oracle_check(R, z, 1.0, iters=0, extra_candidates=[u_oracle])
         assert gap <= 1e-6
 
 
@@ -278,8 +276,8 @@ def _deconv_setup(sigma=0.0, seed=0, N=32):
 
 
 def _bregman_deconv_regularizer(alpha, N):
-    tv = TotalVariation2D(alpha, (N, N), config=PdhgConfig(tol=1e-8, maxit=400))
-    parts = [(tv, N * N)] if alpha > 0 else [(Zero(), N * N)]
+    tv = TotalVariation2D(alpha, config=PdhgConfig(tol=1e-8, maxit=400))
+    parts = [(tv, (N, N))] if alpha > 0 else [(Zero(), N * N)]
     parts.append((SimplexIndicator(), 15, False))
     return SeparableSum(parts)
 
@@ -336,8 +334,8 @@ def test_criterion_08_discrepancy_stopping():
     eta = discrepancy_eta(sigma, N, N)
     assert eta == pytest.approx(1.2 * sigma ** 2 / (2.0 * np.sqrt(N * N)), rel=1e-15)
     prob, E, u0 = _deconv_setup(sigma=sigma, seed=0, N=N)
-    tv = TotalVariation2D(1e-3, (N, N), config=PdhgConfig(tol=1e-10, maxit=400))
-    R = SeparableSum([(tv, N * N),
+    tv = TotalVariation2D(1e-3, config=PdhgConfig(tol=1e-10, maxit=400))
+    R = SeparableSum([(tv, (N, N)),
                       (SimplexIndicator(), 15, False)])
     st0 = initial_state(E, R, u0, tau0=2.0)
     max_iter = 30000
@@ -359,11 +357,7 @@ def test_criterion_09_classifier_rank_monotone_and_learning():
     shapes = [(10, 30), (30, 784)]
     E = ClassifierObjective(D, Y, shapes, activation_kind="rectifier",
                             loss_kind="frobenius", eps=float(np.finfo(float).eps))
-    sizes = [m * n for m, n in shapes]
-    R = SeparableSum([
-        (NuclearNorm(0.2, shapes[0]), sizes[0]),
-        (NuclearNorm(0.2, shapes[1]), sizes[1]),
-    ])
+    R = SeparableSum([(NuclearNorm(0.2), shapes[0]), (NuclearNorm(0.2), shapes[1])])
     u0 = E.pack(init_weights(shapes, seed=0))
     st0 = initial_state(E, R, u0, tau0=1e-3)
 

@@ -58,6 +58,20 @@ class TestCheck:
         assert "byte 0xff at offset 11" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_config_starting_with_a_byte_order_mark(self, tmp_path, capsys, command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + QUAD.lstrip().encode())
+        flags = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(cfg)] + flags) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_byte_order_mark_counts_in_the_offset_of_a_bad_byte(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfproblem = q\xffuadratic\n")
+        assert main(["check", str(cfg)]) == 2
+        assert "byte 0xff at offset 14" in capsys.readouterr().err
+
 
 # values outside the range of the object or problem each key configures:
 # (test id, config, key)
@@ -72,6 +86,11 @@ OUT_OF_RANGE = [
     ("reg_alpha", "problem = quadratic\nn = 6\nreg_alpha = -1\n", "reg_alpha"),
     ("height", "problem = deconv\nheight = 0\nwidth = 8\n", "height"),
     ("kernel_h", "problem = deconv\nheight = 4\nwidth = 4\nkernel_h = 7\n", "kernel_h"),
+    # TV and the tv_value column take at least 2 pixels, with or without a TV weight
+    ("deconv-1x1", "problem = deconv\nheight = 1\nwidth = 1\nkernel_h = 1\nkernel_w = 1\n",
+     "width"),
+    ("deconv-1x1-alpha0", "problem = deconv\nheight = 1\nwidth = 1\nkernel_h = 1\n"
+     "kernel_w = 1\nalpha = 0\n", "width"),
     ("mri-n", "problem = mri\nn = 1\n", "n"),
     ("hidden", "problem = classifier\ntrain_n = 20\nhidden = 0\n", "hidden"),
     ("alpha1", "problem = classifier\ntrain_n = 20\nhidden = 3\nalpha1 = -1\n", "alpha1"),
@@ -143,17 +162,19 @@ BAD_DATA_FILES = [
     ("count-mismatch", DIGITS % ("images.idx", "labels3.idx"), "data_labels"),
     ("label-out-of-range", DIGITS % ("images.idx", "labels12.idx") + "train_n = 4\n",
      "data_labels"),
+    ("no-pixels", DIGITS % ("nopixels.idx", "labels.idx") + "train_n = 4\n", "data_images"),
 ]
 
 
 def write_digit_files(directory):
     """A valid 4-sample IDX image and label pair, a truncated image file, an
-    image header claiming (2^31 - 1)^3 pixels, 3 labels, and 4 labels of
-    which the third is 12."""
+    image header claiming (2^31 - 1)^3 pixels, 3 labels, 4 labels of which
+    the third is 12, and 4 images of 0 x 28 pixels."""
     write_idx_images(directory / "images.idx", np.zeros((4, 28, 28), dtype=np.uint8))
     write_idx_labels(directory / "labels.idx", np.arange(4))
     write_idx_labels(directory / "labels3.idx", np.arange(3))
     write_idx_labels(directory / "labels12.idx", [0, 1, 12, 3])
+    write_idx_images(directory / "nopixels.idx", np.zeros((4, 0, 28), dtype=np.uint8))
     (directory / "truncated.idx").write_bytes((directory / "images.idx").read_bytes()[:100])
     (directory / "oversized.idx").write_bytes(
         struct.pack(">iiii", 2051, *[2**31 - 1] * 3) + bytes(16))
@@ -187,6 +208,7 @@ class TestOutOfRange:
     @pytest.mark.parametrize("text", [
         "problem = mri\nn = 2\ncoils = 1\n",
         "problem = deconv\nheight = 1\nwidth = 8\nkernel_h = 1\n",
+        "problem = deconv\nheight = 1\nwidth = 2\nkernel_h = 1\nkernel_w = 1\n",
         "problem = deconv\nheight = 3\nwidth = 5\nalpha = 0\n",
         "problem = quadratic\nn = 1\nl_const = 0\nreg_alpha = 0\n",
         "problem = classifier\ntrain_n = 1\nhidden = 1\n",
@@ -198,8 +220,8 @@ class TestOutOfRange:
         DIGITS % ("images.idx", "labels.idx") + "train_n = 4\n",
         # a quadratic's energy can be negative, and so can its target
         "problem = quadratic\nn = 3\ndiscrepancy_eta = -1\n",
-    ], ids=["mri", "deconv", "deconv-full-kernel", "quadratic", "classifier", "mask_p-0",
-            "mask_p-1", "tv_tol-0", "iterate_gap_tol-0", "snapshots-1", "data-files",
+    ], ids=["mri", "deconv", "deconv-1x2", "deconv-full-kernel", "quadratic", "classifier",
+            "mask_p-0", "mask_p-1", "tv_tol-0", "iterate_gap_tol-0", "snapshots-1", "data-files",
             "quadratic-discrepancy_eta"])
     def test_smallest_values_run(self, tmp_path, text):
         write_digit_files(tmp_path)
@@ -439,3 +461,14 @@ class TestGradCheck:
         assert main(["grad-check", cfg]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'data_images'" in err
+
+    @pytest.mark.parametrize("text, key", [
+        ("problem = deconv\nheight = 1\nwidth = 1\nkernel_h = 1\nkernel_w = 1\n", "width"),
+        (DIGITS % ("nopixels.idx", "labels.idx") + "train_n = 4\n", "data_images"),
+    ], ids=["deconv-1x1", "no-pixels"])
+    def test_instance_the_run_cannot_take_exits_2(self, tmp_path, capsys, text, key):
+        write_digit_files(tmp_path)
+        cfg = write_cfg(tmp_path, text.format(tmp=tmp_path))
+        assert main(["grad-check", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and repr(key) in err

@@ -71,7 +71,7 @@ class TestConfigParsing:
         for problem in ("deconv", "mri"):
             cfg = parse_config_text(f"problem = {problem}\n")
             budget = PdhgConfig(tol=cfg["tv_tol"], maxit=cfg["tv_maxit"])
-            assert budget == TotalVariation2D(1.0, (2, 2)).config
+            assert budget == TotalVariation2D(1.0).config
             assert budget == PdhgConfig()
 
     def test_overrides(self):
@@ -137,11 +137,7 @@ class TestClassifierRankGrowth:
         rng = np.random.default_rng(5)
         # small positive offset keeps the rectifier out of its dead point
         As0 = [1e-4 * rng.uniform(-1, 1, size=s) / np.sqrt(s[1]) + 3e-4 for s in shapes]
-        sizes = [m * n for m, n in shapes]
-        R = SeparableSum([
-            (NuclearNorm(0.5, shapes[0]), sizes[0]),
-            (NuclearNorm(0.5, shapes[1]), sizes[1]),
-        ])
+        R = SeparableSum([(NuclearNorm(0.5), shapes[0]), (NuclearNorm(0.5), shapes[1])])
         st0 = initial_state(E, R, E.pack(As0), tau0=0.02)
         ranks = []
 
@@ -464,6 +460,28 @@ class TestStateOwnsItsFacts:
 DECONV_CFG = "problem = deconv\nheight = 12\nwidth = 12\nmax_iter = 6\n"
 
 
+class TestBuilderBlocks:
+    @pytest.mark.parametrize("text", [
+        "problem = deconv\nheight = 6\nwidth = 5\nkernel_h = 3\nkernel_w = 2\n",
+        "problem = mri\nn = 6\ncoils = 2\n",
+        "problem = classifier\ntrain_n = 12\nhidden = 3\n",
+    ], ids=["deconv", "mri", "classifier"])
+    def test_regularizer_blocks_are_the_objective_blocks(self, text):
+        from linbreg import SeparableSum, TotalVariation2D
+        from linbreg.experiment import build_experiment
+
+        built = build_experiment(parse_config_text(text))
+        E = built.E
+        ends = np.cumsum(E.sizes).tolist()
+        for R in (built.R, built.constraint):
+            if isinstance(R, SeparableSum):
+                assert [(a, b, shape) for _, a, b, shape in R.parts] == \
+                    list(zip([0] + ends[:-1], ends, E.shapes))
+        if text.startswith("problem = mri"):
+            tvs = [R for R, *_ in built.R.parts[:2]]
+            assert isinstance(tvs[0], TotalVariation2D) and tvs[0] is tvs[1]
+
+
 class TestRunOwnsItsWarmStart:
     @pytest.mark.parametrize("text", [
         DECONV_CFG,
@@ -526,7 +544,7 @@ class TestRunOwnsItsWarmStart:
 
         cfg = parse_config_text("problem = mri\nn = 8\n")
         built = build_experiment(cfg)
-        (re_part, a, b), (im_part, c, d) = built.R.parts[:2]
+        (re_part, a, b, _), (im_part, c, d, _) = built.R.parts[:2]
         assert isinstance(re_part, TotalVariation2D) and re_part is im_part
         st0 = initial_state(built.E, built.R, built.u0, cfg["tau0"])
         st = run(built.E, built.R, st0, BacktrackingPolicy(tau0=cfg["tau0"]),
@@ -554,8 +572,8 @@ class TestRunOwnsItsWarmStart:
         built = build_experiment(cfg)
         E = built.E
         n_image, n_kernel = E.sizes
-        tv = TotalVariation2D(cfg["alpha"], E.shapes[0], PdhgConfig(tol=1e-7, maxit=3))
-        R = SeparableSum([(tv, n_image), (SimplexIndicator(), n_kernel, False)])
+        tv = TotalVariation2D(cfg["alpha"], PdhgConfig(tol=1e-7, maxit=3))
+        R = SeparableSum([(tv, E.shapes[0]), (SimplexIndicator(), n_kernel, False)])
         st = run(E, R, initial_state(E, R, built.u0, cfg["tau0"]),
                  BacktrackingPolicy(tau0=cfg["tau0"]), StoppingRule(max_iter=3)).state
         _, res = st.warm[(0, n_image)]["tv"]

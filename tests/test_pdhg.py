@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from linbreg import NotConvergedError, NumericsError, PdhgConfig, TotalVariation2D
+from linbreg import NotConvergedError, NumericsError, PdhgConfig, SeparableSum, TotalVariation2D
 from linbreg.pdhg import SIGMA, TAU_INNER, PdhgResult, pdhg_tv_prox
 from linbreg.tensor_ops import div2d, grad2d_forward, total_variation
 from helpers import tv_prox_dual_oracle
@@ -29,7 +29,7 @@ class TestConfig:
         with pytest.raises(FrozenInstanceError):
             cfg.maxit = 5
         with pytest.raises(FrozenInstanceError):
-            TotalVariation2D(1.0, (2, 2)).config.tol = 1.0
+            TotalVariation2D(1.0).config.tol = 1.0
 
 
 class TestTrivialInputs:
@@ -355,10 +355,11 @@ class TestAliasing:
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1)])
     def test_single_row_or_column_through_regularizer(self, shape):
         z = np.random.default_rng(22).standard_normal(shape)
-        R = TotalVariation2D(0.4, shape, config=PdhgConfig(tol=1e-10, maxit=5000))
+        R = TotalVariation2D(0.4, config=PdhgConfig(tol=1e-10, maxit=5000))
+        S = SeparableSum([(R, shape)])
         warm = {}
-        u = R.prox(z.ravel(), 1.0, warm)
-        assert warm["tv"][1].gap <= R.config.tol
+        u = S.prox(z.ravel(), 1.0, warm)
+        assert S.block_facts(warm, 0)["tv"][1].gap <= R.config.tol
         oracle_u, oracle_gap = tv_prox_dual_oracle(z, 0.4, gap_tol=1e-12)
         assert oracle_gap <= 1e-12
         assert u.shape == (z.size,)
@@ -371,7 +372,7 @@ class TestAliasing:
 
     def test_one_pixel_image_rejected_through_regularizer(self):
         with pytest.raises(ValueError, match="at least 2 pixels"):
-            TotalVariation2D(0.5, (1, 1)).prox(np.array([1.0]), 1.0)
+            TotalVariation2D(0.5).prox(np.array([[1.0]]), 1.0)
 
 
 # NumericsError is the one report of an overflow: a RuntimeWarning fails these tests
@@ -397,12 +398,12 @@ class TestNonFinite:
 
     def test_regularizer_raises_numerics_error(self):
         # and the raising call leaves the previous call's warm record in place
-        R = TotalVariation2D(1.0, (4, 4), config=PdhgConfig(tol=1e-7, maxit=3))
+        R = TotalVariation2D(1.0, config=PdhgConfig(tol=1e-7, maxit=3))
         warm = {}
-        R.prox(np.arange(16.0), 1.0, warm)
+        R.prox(np.arange(16.0).reshape(4, 4), 1.0, warm)
         last = warm["tv"]
         z = np.full(16, 1e305)
         z[::2] = -1e305
         with pytest.raises(NumericsError):
-            R.prox(z, 1e300, warm)
+            R.prox(z.reshape(4, 4), 1e300, warm)
         assert warm["tv"] is last

@@ -209,8 +209,8 @@ class TestScaleSpaceTrend:
 
         prob = make_synthetic_deconv(11, 16, 16, (3, 3), sigma=0.0)
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-        tv = TotalVariation2D(0.05, (16, 16), config=PdhgConfig(tol=1e-7, maxit=200))
-        R = SeparableSum(list(zip([tv, SimplexIndicator()], E.sizes)))
+        tv = TotalVariation2D(0.05, config=PdhgConfig(tol=1e-7, maxit=200))
+        R = SeparableSum(list(zip([tv, SimplexIndicator()], E.shapes)))
         u0 = E.pack([np.zeros((16, 16)), np.full((3, 3), 1.0 / 9.0)])
         st0 = initial_state(E, R, u0, tau0=2.0)
         tvs = []
@@ -246,8 +246,8 @@ class TestLibraryDefaults:
 
         prob = make_synthetic_deconv(seed, 32, 32)
         E = BlindDeconvObjective(prob.f, prob.kernel_shape)
-        tv = TotalVariation2D(0.05, E.shapes[0])
-        R = SeparableSum(list(zip([tv, SimplexIndicator()], E.sizes)))
+        tv = TotalVariation2D(0.05)
+        R = SeparableSum(list(zip([tv, SimplexIndicator()], E.shapes)))
         u0 = E.pack([np.zeros((32, 32)), np.full(prob.kernel_shape, 1.0 / E.sizes[1])])
         res = run(E, R, initial_state(E, R, u0, tau0=2.0), BacktrackingPolicy(tau0=2.0),
                   StoppingRule(max_iter=5))

@@ -107,9 +107,9 @@ class TestFenchelResidual:
         assert fenchel_residual(R, np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_unavailable_conjugate_raises(self):
-        R = TotalVariation2D(1.0, (2, 2))
+        R = TotalVariation2D(1.0)
         with pytest.raises(UnsupportedOperation):
-            fenchel_residual(R, np.zeros(4), np.zeros(4))
+            fenchel_residual(R, np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 class TestProxL1:
@@ -145,17 +145,17 @@ class TestProxWeightedL1Dct:
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(2)
         z = rng.standard_normal((4, 4))
-        assert np.abs(WeightedL1Dct(1.0, np.zeros((4, 4)), (4, 4)).prox(z, 1.0) - z).max() < 1e-13
+        assert np.abs(WeightedL1Dct(1.0, np.zeros((4, 4))).prox(z, 1.0) - z).max() < 1e-13
 
     def test_constant_image_with_free_dc(self):
         z = np.full((4, 4), 2.0)
         w = np.full((4, 4), 1e6)
         w[0, 0] = 0.0
-        assert np.abs(WeightedL1Dct(1.0, w, (4, 4)).prox(z, 1.0) - z).max() < 1e-12
+        assert np.abs(WeightedL1Dct(1.0, w).prox(z, 1.0) - z).max() < 1e-12
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
-            WeightedL1Dct(1.0, -np.ones((2, 2)), (2, 2))
+            WeightedL1Dct(1.0, -np.ones((2, 2)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_against_coefficient_space_oracle(self, seed):
@@ -163,7 +163,7 @@ class TestProxWeightedL1Dct:
         z = rng.standard_normal((4, 4))
         w = rng.uniform(0.0, 2.0, size=(4, 4))
         lam = rng.uniform(0.1, 1.0)
-        out = WeightedL1Dct(lam, w, (4, 4)).prox(z, 1.0)
+        out = WeightedL1Dct(lam, w).prox(z, 1.0)
         # solve per DCT coefficient with golden-section search, compare objectives
         zc = dct2(z).ravel()
         wf = w.ravel()
@@ -239,16 +239,16 @@ class TestProjectSimplex:
 
 class TestProxNuclear:
     def test_diagonal_svt(self):
-        out = NuclearNorm(2.0, (2, 2)).prox(np.diag([3.0, 1.0]), 1.0)
+        out = NuclearNorm(2.0).prox(np.diag([3.0, 1.0]), 1.0)
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_lambda_zero(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((4, 3))
-        assert np.abs(NuclearNorm(0.0, (4, 3)).prox(a, 1.0) - a).max() < 1e-10
+        assert np.abs(NuclearNorm(0.0).prox(a, 1.0) - a).max() < 1e-10
 
     def test_zero_matrix(self):
-        R = NuclearNorm(0.5, (3, 2))
+        R = NuclearNorm(0.5)
         assert np.array_equal(R.prox(np.zeros((3, 2)), 1.0), np.zeros((3, 2)))
         assert np.array_equal(R.initial_subgradient(np.zeros((3, 2))), np.zeros((3, 2)))
 
@@ -259,7 +259,7 @@ class TestProxNuclear:
         U, _ = np.linalg.qr(rng.standard_normal((3, 2)))
         V, _ = np.linalg.qr(rng.standard_normal((5, 2)))
         u = (U * [2.0, 1.0]) @ V.T
-        g = NuclearNorm(0.5, (3, 5)).initial_subgradient(u)
+        g = NuclearNorm(0.5).initial_subgradient(u)
         assert g.shape == (3, 5)
         assert np.abs(g - 0.5 * U @ V.T).max() < 1e-10
 
@@ -267,7 +267,7 @@ class TestProxNuclear:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((4, 3))
         lam = 0.7
-        out = NuclearNorm(lam, (4, 3)).prox(a, 1.0)
+        out = NuclearNorm(lam).prox(a, 1.0)
 
         def objective(x):
             return 0.5 * np.sum((x - a) ** 2) + lam * np.sum(
@@ -291,7 +291,7 @@ def _with_top_singular_value(rng, shape, smax):
 
 def _svd_decision(R, q):
     """The conjugate as the SVD alone decides it."""
-    s = np.linalg.svd(np.asarray(q).reshape(R.shape), compute_uv=False)
+    s = np.linalg.svd(np.asarray(q), compute_uv=False)
     bound = R.alpha + FEAS_TOL * (1.0 + R.alpha)
     return 0.0 if (float(s[0]) if s.size else 0.0) <= bound else float("inf")
 
@@ -304,7 +304,7 @@ class TestNuclearConjugateGram:
     @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.5])
     @pytest.mark.parametrize("delta", DELTAS)
     def test_decision_equals_svd_near_the_bound(self, shape, alpha, delta):
-        R = NuclearNorm(alpha, shape)
+        R = NuclearNorm(alpha)
         bound = alpha + FEAS_TOL * (1.0 + alpha)
         for seed in range(5):
             q = _with_top_singular_value(np.random.default_rng(seed), shape,
@@ -315,7 +315,7 @@ class TestNuclearConjugateGram:
     @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.5])
     def test_decision_equals_svd_at_alpha_as_the_prox_makes_it(self, shape, alpha):
         # q = (z - prox(z)) / tau has top singular value alpha up to rounding
-        R = NuclearNorm(alpha, shape)
+        R = NuclearNorm(alpha)
         rng = np.random.default_rng(7)
         for tau in (1e-3, 0.5, 3.0):
             z = 4.0 * rng.standard_normal(shape)
@@ -325,13 +325,13 @@ class TestNuclearConjugateGram:
     @pytest.mark.parametrize("shape", SHAPES + [(0, 4), (4, 0)])
     @pytest.mark.parametrize("alpha", [0.0, 0.2])
     def test_zero_matrix_is_feasible(self, shape, alpha):
-        assert NuclearNorm(alpha, shape).conjugate_value(np.zeros(shape)) == 0.0
+        assert NuclearNorm(alpha).conjugate_value(np.zeros(shape)) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.2])
     def test_seeded_matrices_far_from_the_bound(self, alpha):
         rng = np.random.default_rng(11)
         for shape in self.SHAPES:
-            R = NuclearNorm(alpha, shape)
+            R = NuclearNorm(alpha)
             for scale in (1e-12, 1e-3, 0.1, 1.0, 10.0):
                 q = scale * rng.standard_normal(shape)
                 assert R.conjugate_value(q) == _svd_decision(R, q)
@@ -345,7 +345,7 @@ class TestNuclearConjugateGram:
             calls.append(1)
             return svd(*args, **kwargs)
 
-        R = NuclearNorm(0.2, shape)
+        R = NuclearNorm(0.2)
         bound = 0.2 + FEAS_TOL * 1.2
         rng = np.random.default_rng(3)
         far = [_with_top_singular_value(rng, shape, bound * (1.0 + d)) for d in (-1e-6, 1e-6)]
@@ -375,7 +375,7 @@ class TestNuclearConjugateGram:
             except np.linalg.LinAlgError as err:
                 return type(err)
 
-        R = NuclearNorm(1.0, (3, 4))
+        R = NuclearNorm(1.0)
         expected = outcome(lambda: _svd_decision(R, q))
         monkeypatch.setattr(np.linalg, "svd", counted)
         assert outcome(lambda: R.conjugate_value(q)) == expected
@@ -392,12 +392,12 @@ class TestInstancesCommon:
             (Zero(), 9),
             (SquaredL2(1.5), 9),
             (L1(0.8), 9),
-            (WeightedL1Dct(0.6, w, (3, 3)), 9),
+            (SeparableSum([(WeightedL1Dct(0.6, w), (3, 3))]), 9),
             (SimplexIndicator(), 9),
             (NonnegativeIndicator(), 9),
-            (NuclearNorm(0.5, (3, 3)), 9),
-            (NuclearNorm(0.5, (3, 6)), 18),
-            (NuclearNorm(0.5, (6, 2)), 12),
+            (SeparableSum([(NuclearNorm(0.5), (3, 3))]), 9),
+            (SeparableSum([(NuclearNorm(0.5), (3, 6))]), 18),
+            (SeparableSum([(NuclearNorm(0.5), (6, 2))]), 12),
         ]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -410,9 +410,9 @@ class TestInstancesCommon:
             assert d_out <= np.linalg.norm(x - y) * (1.0 + 1e-12) + 1e-13
 
     def test_tv_nonexpansive_up_to_inner_gap(self):
-        R = TotalVariation2D(0.5, (4, 4))
+        R = TotalVariation2D(0.5)
         rng = np.random.default_rng(6)
-        x, y = rng.standard_normal((2, 16))
+        x, y = rng.standard_normal((2, 4, 4))
         warm_x, warm_y = {}, {}
         d_out = np.linalg.norm(R.prox(x, 1.0, warm_x) - R.prox(y, 1.0, warm_y))
         assert max(warm_x["tv"][1].gap, warm_y["tv"][1].gap) <= R.config.tol
@@ -427,10 +427,10 @@ class TestInstancesCommon:
         pairs = [
             (SquaredL2(1.5), SquaredL2(1.5 * tau)),
             (L1(0.8), L1(0.8 * tau)),
-            (WeightedL1Dct(0.6, w, (3, 3)), WeightedL1Dct(0.6 * tau, w, (3, 3))),
-            (NuclearNorm(0.5, (3, 3)), NuclearNorm(0.5 * tau, (3, 3))),
+            (WeightedL1Dct(0.6, w), WeightedL1Dct(0.6 * tau, w)),
+            (NuclearNorm(0.5), NuclearNorm(0.5 * tau)),
         ]
-        z = rng.standard_normal(9)
+        z = rng.standard_normal((3, 3))
         for R, R_scaled in pairs:
             assert np.abs(np.ravel(R.prox(z, tau)) - np.ravel(R_scaled.prox(z, 1.0))).max() < 1e-10
 
@@ -499,7 +499,7 @@ class TestComposeSeparable:
             SeparableSum([(L1(), 3), (L1(), -1)])  # negative size
 
     def test_conjugate_availability_propagates(self):
-        S = SeparableSum([(L1(), 2), (TotalVariation2D(1.0, (1, 2)), 2)])
+        S = SeparableSum([(L1(), 2), (TotalVariation2D(1.0), (1, 2))])
         assert not S.has_conjugate
         with pytest.raises(UnsupportedOperation):
             S.conjugate_value(np.zeros(4))
@@ -508,3 +508,35 @@ class TestComposeSeparable:
         S = SeparableSum([(SquaredL2(), 2), (SquaredL2(), 2)])
         q = np.array([1.0, 2.0, 3.0, 4.0])
         assert S.conjugate_value(q) == pytest.approx(0.5 * np.sum(q ** 2))
+
+    def test_parts_receive_views_of_their_blocks_in_their_shapes(self):
+        seen = []
+
+        class Recording(L1):
+            def value(self, u, facts=None):
+                seen.append(u)
+                return super().value(u, facts)
+
+        S = SeparableSum([(Recording(), 2), (Recording(), (3, 4)), (Recording(), (5,))])
+        u = np.arange(19.0)
+        S.value(u)
+        assert [v.shape for v in seen] == [(2,), (3, 4), (5,)]
+        assert all(np.shares_memory(v, u) for v in seen)
+        assert np.array_equal(seen[1], u[2:14].reshape(3, 4))
+
+    def test_an_int_part_is_a_1d_shape(self):
+        R = L1(0.5)
+        assert SeparableSum([(R, 6)]).parts == SeparableSum([(R, (6,))]).parts
+
+    def test_nuclear_norm_of_a_stacked_block(self):
+        # the block is a 3 x 4 matrix; read as 4 x 3 its nuclear norm differs
+        rng = np.random.default_rng(9)
+        u = rng.standard_normal(17)
+        M = u[5:].reshape(3, 4)
+        S = SeparableSum([(L1(0.3), 5), (NuclearNorm(0.7), (3, 4))])
+        facts = {}
+        assert S.value(u, facts) == L1(0.3).value(u[:5]) + NuclearNorm(0.7).value(M)
+        assert NuclearNorm(0.7).value(M) != NuclearNorm(0.7).value(M.reshape(4, 3))
+        s = facts[(5, 17)]["singular_values"]
+        assert np.array_equal(s, np.linalg.svd(M, compute_uv=False))
+        assert S.parts[1][0].singular_values(M, S.block_facts(facts, 1)) is s

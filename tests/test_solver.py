@@ -639,13 +639,13 @@ def _certified_instance(kind: str, seed: int):
     if kind == "l1":
         return L1(0.3), u
     if kind == "weighted-l1-dct":
-        return WeightedL1Dct(0.3, rng.uniform(0.0, 2.0, size=(3, 4)), (3, 4)), u
+        return SeparableSum([(WeightedL1Dct(0.3, rng.uniform(0.0, 2.0, size=(3, 4))), (3, 4))]), u
     if kind == "nonnegative":
         return NonnegativeIndicator(), np.abs(u)
     if kind == "simplex":
         return SimplexIndicator(), h / h.sum()
     if kind == "nuclear":
-        return NuclearNorm(0.4, (4, 3)), u
+        return SeparableSum([(NuclearNorm(0.4), (4, 3))]), u
     # two blocks: l1 and a simplex
     return (SeparableSum([(L1(0.3), 6), (SimplexIndicator(), 6)]),
             np.concatenate([u[:6], h[6:] / h[6:].sum()]))
@@ -766,11 +766,11 @@ class TestLoopMatchesReference:
         rng = np.random.default_rng(6)
         f = rng.standard_normal((6, 5))
         E = LeastSquares(f)
-        R = TotalVariation2D(0.2, (6, 5))
+        R = TotalVariation2D(0.2)
         loop = _same_loop(E, R, np.zeros((6, 5)), 0.9, None, n=12,
                           extras_fn=lambda st: {"mean": float(st.u.mean())})
         assert loop[0][1] == (6, 5)
-        _same_loop(E, NuclearNorm(0.3, (6, 5)), f, 0.9, np.inf, n=12)
+        _same_loop(E, NuclearNorm(0.3), f, 0.9, np.inf, n=12)
 
 
 def _stacked_instance(kind: str):

@@ -1,6 +1,6 @@
-"""Byte oracle for refactors: hash the outputs of 60 fixed CLI runs.
+"""Byte oracle for refactors: hash the outputs of 63 fixed CLI runs.
 
-Runs twenty configs under each of the three solvers (``linbreg``,
+Runs twenty-one configs under each of the three solvers (``linbreg``,
 ``projected-gd``, ``proximal-gd``) with the package found in a given source
 directory, and prints ``sha256  path`` for every output file except
 ``summary.txt``, which records wall time.  Two source trees behave the same
@@ -83,6 +83,10 @@ CONFIGS = {
     # an even kernel, anchored at k // 2 in both dimensions
     "deconv-12x10-k4x2": ("problem = deconv\nheight = 12\nwidth = 10\nkernel_h = 4\n"
                           "kernel_w = 2\nseed = 5\nmax_iter = 20\n"),
+    # the smallest image TV takes, one row of two pixels, with noise so that
+    # the data is not zero
+    "deconv-1x2": ("problem = deconv\nheight = 1\nwidth = 2\nkernel_h = 1\nkernel_w = 1\n"
+                   "sigma = 0.1\nmax_iter = 8\nsnapshots = 1,8\n"),
 }
 SOLVERS = ("linbreg", "projected-gd", "proximal-gd")
 
